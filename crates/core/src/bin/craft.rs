@@ -58,7 +58,7 @@
 //! regression crosses its threshold (suppress with `--warn-only`),
 //! `0` otherwise.
 
-use mixedprec::{AnalysisOptions, AnalysisSystem, JobSpec, ShadowOptions, StopDepth};
+use mixedprec::{http, AnalysisOptions, AnalysisSystem, JobSpec, ShadowOptions, StopDepth};
 use mpconfig::editor::render_tree;
 use mpconfig::print_config;
 use mpsearch::events::{Event, EventLog, Record};
@@ -477,161 +477,6 @@ fn daemon_addr(explicit: Option<String>) -> String {
     explicit
         .or_else(|| std::env::var("CRAFTD_ADDR").ok().filter(|s| !s.is_empty()))
         .unwrap_or_else(|| "127.0.0.1:7050".into())
-}
-
-/// Minimal HTTP/1.1 keep-alive client for daemon mode
-/// (`submit`/`status`/`jobs`): `cached` holds a connection reused across
-/// requests in one command (e.g. submit → follow → status), refreshed
-/// when the daemon closes it. Response bodies are framed by
-/// `Content-Length`, chunked encoding (live follows), or EOF. Body
-/// pieces go to `on_data` as they arrive. Kept local because `core`
-/// cannot depend on the `craftd` crate (craftd depends on it).
-fn http_exchange(
-    cached: &mut Option<std::net::TcpStream>,
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    trace: Option<&str>,
-    on_data: &mut dyn FnMut(&str),
-) -> Result<u16, String> {
-    let had_cached = cached.is_some();
-    let mut delivered = false;
-    match http_attempt(cached, addr, method, path, body, trace, &mut delivered, on_data) {
-        // A cached connection can go stale (daemon restarted, idle
-        // timeout). Retry once on a fresh one — but only if the failed
-        // attempt delivered no body bytes, so `on_data` never sees data
-        // twice.
-        Err(_) if had_cached && !delivered => {
-            *cached = None;
-            http_exchange(cached, addr, method, path, body, trace, on_data)
-        }
-        done => done,
-    }
-}
-
-/// One request/response over `cached` (connecting first if empty),
-/// returning the connection to `cached` when it remains reusable.
-#[allow(clippy::too_many_arguments)]
-fn http_attempt(
-    cached: &mut Option<std::net::TcpStream>,
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    trace: Option<&str>,
-    delivered: &mut bool,
-    on_data: &mut dyn FnMut(&str),
-) -> Result<u16, String> {
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
-    let mut conn = match cached.take() {
-        Some(c) => c,
-        None => {
-            TcpStream::connect(addr).map_err(|e| format!("cannot reach daemon at {addr}: {e}"))?
-        }
-    };
-    let payload = body.unwrap_or("");
-    // The cross-process trace id rides along as `x-craft-trace`; the
-    // daemon stamps it through its log, the job record, and the run-dir
-    // artifacts.
-    let trace_header = match trace {
-        Some(id) if !id.is_empty() => format!("x-craft-trace: {id}\r\n"),
-        _ => String::new(),
-    };
-    write!(
-        conn,
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
-         Connection: keep-alive\r\n{trace_header}\r\n{payload}",
-        payload.len()
-    )
-    .and_then(|()| conn.flush())
-    .map_err(|e| format!("send: {e}"))?;
-
-    let read_line = |conn: &mut TcpStream| -> Result<String, String> {
-        let mut line = Vec::new();
-        let mut byte = [0u8; 1];
-        while !line.ends_with(b"\r\n") {
-            match conn.read(&mut byte) {
-                Ok(0) => return Err("daemon closed the connection mid-line".into()),
-                Ok(_) => line.push(byte[0]),
-                Err(e) => return Err(format!("read: {e}")),
-            }
-        }
-        line.truncate(line.len() - 2);
-        Ok(String::from_utf8_lossy(&line).into_owned())
-    };
-
-    let status_line = read_line(&mut conn)?;
-    let status: u16 = status_line
-        .split_ascii_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("malformed status line {status_line:?}"))?;
-    let mut chunked = false;
-    let mut content_length: Option<usize> = None;
-    let mut reusable = true;
-    loop {
-        let line = read_line(&mut conn)?;
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            let (name, value) = (name.trim().to_ascii_lowercase(), value.trim());
-            if name == "transfer-encoding" && value.eq_ignore_ascii_case("chunked") {
-                chunked = true;
-            } else if name == "content-length" {
-                content_length =
-                    Some(value.parse().map_err(|_| format!("bad content-length {value:?}"))?);
-            } else if name == "connection" && value.eq_ignore_ascii_case("close") {
-                reusable = false;
-            }
-        }
-    }
-    if chunked {
-        loop {
-            let size_line = read_line(&mut conn)?;
-            let size = usize::from_str_radix(size_line.trim(), 16)
-                .map_err(|_| format!("bad chunk size {size_line:?}"))?;
-            let mut data = vec![0u8; size + 2]; // payload + trailing CRLF
-            conn.read_exact(&mut data).map_err(|e| format!("read chunk: {e}"))?;
-            if size == 0 {
-                break;
-            }
-            *delivered = true;
-            on_data(&String::from_utf8_lossy(&data[..size]));
-        }
-    } else if let Some(n) = content_length {
-        let mut data = vec![0u8; n];
-        conn.read_exact(&mut data).map_err(|e| format!("read body: {e}"))?;
-        *delivered = true;
-        on_data(&String::from_utf8_lossy(&data));
-    } else {
-        // EOF framing consumes the connection by definition.
-        reusable = false;
-        let mut data = Vec::new();
-        conn.read_to_end(&mut data).map_err(|e| format!("read body: {e}"))?;
-        *delivered = true;
-        on_data(&String::from_utf8_lossy(&data));
-    }
-    if reusable {
-        *cached = Some(conn);
-    }
-    Ok(status)
-}
-
-/// [`http_exchange`] collecting the whole body into a string.
-fn http_request(
-    cached: &mut Option<std::net::TcpStream>,
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    trace: Option<&str>,
-) -> Result<(u16, String), String> {
-    let mut out = String::new();
-    let status = http_exchange(cached, addr, method, path, body, trace, &mut |p| out.push_str(p))?;
-    Ok((status, out))
 }
 
 /// The daemon's `{"error":…}` message, or the raw body if it isn't one.
@@ -1528,16 +1373,10 @@ fn main() {
             // request chain: it links this submit to the daemon's log,
             // the job record/manifest, and the run-dir spans.
             let trace = registry::new_run_id("tr", registry::unix_now());
-            let mut conn = None;
-            let (code, body) = http_request(
-                &mut conn,
-                &addr,
-                "POST",
-                "/jobs",
-                Some(&spec.to_json()),
-                Some(&trace),
-            )
-            .unwrap_or_else(|e| fail(e));
+            let mut client = http::Client::new(&addr);
+            client.set_trace(&trace);
+            let (code, body) =
+                client.request("POST", "/jobs", Some(&spec.to_json())).unwrap_or_else(|e| fail(e));
             if code != 202 {
                 fail(format!("daemon {addr} rejected the job ({code}): {}", daemon_error(&body)));
             }
@@ -1552,29 +1391,17 @@ fn main() {
             } else {
                 eprintln!("craft: job {id} queued on {addr}, following live stream");
                 let mut records = 0usize;
-                let code = http_exchange(
-                    &mut conn,
-                    &addr,
-                    "GET",
-                    &format!("/jobs/{id}/live"),
-                    None,
-                    Some(&trace),
-                    &mut |piece| records += piece.lines().count(),
-                )
-                .unwrap_or_else(|e| fail(e));
+                let code = client
+                    .stream("GET", &format!("/jobs/{id}/live"), None, &mut |piece| {
+                        records += piece.lines().count()
+                    })
+                    .unwrap_or_else(|e| fail(e));
                 if code != 200 {
                     fail(format!("daemon {addr} refused the live stream ({code})"));
                 }
                 eprintln!("craft: followed {records} live records to completion");
-                let (code, body) = http_request(
-                    &mut conn,
-                    &addr,
-                    "GET",
-                    &format!("/jobs/{id}"),
-                    None,
-                    Some(&trace),
-                )
-                .unwrap_or_else(|e| fail(e));
+                let (code, body) =
+                    client.request("GET", &format!("/jobs/{id}"), None).unwrap_or_else(|e| fail(e));
                 if code != 200 {
                     fail(format!("daemon {addr} answered {code}: {}", daemon_error(&body)));
                 }
@@ -1592,9 +1419,8 @@ fn main() {
                 .copied()
                 .unwrap_or_else(|| usage("usage: craft status <job-id> [--daemon=HOST:PORT]"));
             let addr = daemon_addr(opt("--daemon"));
-            let (code, body) =
-                http_request(&mut None, &addr, "GET", &format!("/jobs/{id}"), None, None)
-                    .unwrap_or_else(|e| fail(e));
+            let (code, body) = http::request(&addr, "GET", &format!("/jobs/{id}"), None)
+                .unwrap_or_else(|e| fail(e));
             if code != 200 {
                 fail(format!("daemon {addr} answered {code}: {}", daemon_error(&body)));
             }
@@ -1607,8 +1433,8 @@ fn main() {
         }
         "jobs" => {
             let addr = daemon_addr(opt("--daemon"));
-            let (code, body) = http_request(&mut None, &addr, "GET", "/jobs", None, None)
-                .unwrap_or_else(|e| fail(e));
+            let (code, body) =
+                http::request(&addr, "GET", "/jobs", None).unwrap_or_else(|e| fail(e));
             if code != 200 {
                 fail(format!("daemon {addr} answered {code}: {}", daemon_error(&body)));
             }
@@ -1652,17 +1478,17 @@ fn main() {
                         .map(|h| PathBuf::from(h).join(".craft").join("craftd"))
                         .filter(|p| p.is_dir())
                 });
-            let mut conn = None;
+            let mut client = http::Client::new(&addr);
             let mut tails: HashMap<String, LiveTail> = HashMap::new();
             let mut prev: Option<(f64, std::time::Instant)> = None;
             loop {
-                let (code, metrics) = http_request(&mut conn, &addr, "GET", "/metrics", None, None)
-                    .unwrap_or_else(|e| fail(e));
+                let (code, metrics) =
+                    client.request("GET", "/metrics", None).unwrap_or_else(|e| fail(e));
                 if code != 200 {
                     fail(format!("daemon {addr} answered {code} for /metrics"));
                 }
-                let (code, jobs_body) = http_request(&mut conn, &addr, "GET", "/jobs", None, None)
-                    .unwrap_or_else(|e| fail(e));
+                let (code, jobs_body) =
+                    client.request("GET", "/jobs", None).unwrap_or_else(|e| fail(e));
                 if code != 200 {
                     fail(format!("daemon {addr} answered {code} for /jobs"));
                 }

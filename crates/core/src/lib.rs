@@ -27,6 +27,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use workloads::Workload;
 
+pub mod http;
 pub mod jobspec;
 
 pub use jobspec::JobSpec;

@@ -12,15 +12,20 @@
 //! lifetime, so it is the one response that declares
 //! `Connection: close`.
 //!
+//! Every message (a whole response, the chunked head, each chunk, the
+//! terminal chunk) is assembled in memory and sent with one
+//! `write_all`, and the server sets `TCP_NODELAY` on every accepted
+//! socket: a message dribbled out in several small writes stalls on
+//! Nagle's algorithm until the peer's delayed ACK, tens of
+//! milliseconds per exchange.
+//!
 //! Client side ([`Client`], plus the one-shot [`request`] / [`stream`]
-//! wrappers): the matching minimal client, used by the end-to-end tests
-//! (and mirrored by `craft submit`). A [`Client`] holds one connection
-//! open across requests (HTTP/1.1 keep-alive) and reconnects
-//! transparently when the server closed it in between; body framing is
-//! `Content-Length`, chunked, or read-to-EOF (EOF framing ends reuse).
+//! wrappers): the matching minimal client, which lives in
+//! [`mixedprec::http`] so `craft submit` shares it, re-exported here.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+
+pub use mixedprec::http::{request, stream, Client};
 
 /// Largest accepted request head (request line + headers).
 const MAX_HEAD: usize = 16 * 1024;
@@ -161,18 +166,19 @@ pub fn respond_with(
     extra_headers: &[(&str, &str)],
     body: &[u8],
 ) -> std::io::Result<()> {
-    write!(
-        w,
+    let mut msg = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n\
          Connection: keep-alive\r\n",
         reason(status),
         body.len()
-    )?;
+    )
+    .into_bytes();
     for (name, value) in extra_headers {
-        write!(w, "{name}: {value}\r\n")?;
+        msg.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
     }
-    w.write_all(b"\r\n")?;
-    w.write_all(body)?;
+    msg.extend_from_slice(b"\r\n");
+    msg.extend_from_slice(body);
+    w.write_all(&msg)?;
     w.flush()
 }
 
@@ -192,12 +198,13 @@ pub struct Chunked<'a, W: Write> {
 impl<'a, W: Write> Chunked<'a, W> {
     /// Write the response head and start the chunked body.
     pub fn start(w: &'a mut W, status: u16, content_type: &str) -> std::io::Result<Self> {
-        write!(
-            w,
+        let head = format!(
             "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n\
              Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
             reason(status)
-        )?;
+        );
+        w.write_all(head.as_bytes())?;
+        w.flush()?;
         Ok(Chunked { w })
     }
 
@@ -207,9 +214,10 @@ impl<'a, W: Write> Chunked<'a, W> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.w, "{:x}\r\n", data.len())?;
-        self.w.write_all(data)?;
-        self.w.write_all(b"\r\n")?;
+        let mut msg = format!("{:x}\r\n", data.len()).into_bytes();
+        msg.extend_from_slice(data);
+        msg.extend_from_slice(b"\r\n");
+        self.w.write_all(&msg)?;
         self.w.flush()
     }
 
@@ -217,207 +225,6 @@ impl<'a, W: Write> Chunked<'a, W> {
     pub fn finish(self) -> std::io::Result<()> {
         self.w.write_all(b"0\r\n\r\n")?;
         self.w.flush()
-    }
-}
-
-/// One-shot: send a single request on a fresh connection and collect
-/// the whole response. Returns `(status, body)`. For request sequences,
-/// hold a [`Client`] instead and reuse its connection.
-pub fn request(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> Result<(u16, String), String> {
-    Client::new(addr).request(method, path, body)
-}
-
-/// One-shot [`Client::stream`] on a fresh connection.
-pub fn stream(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    mut on_data: impl FnMut(&str),
-) -> Result<u16, String> {
-    Client::new(addr).stream(method, path, body, &mut on_data)
-}
-
-/// A keep-alive HTTP/1.1 client: holds one connection to the server
-/// open across requests, reconnecting transparently (one retry) when
-/// the server closed it between requests. Reuse ends when a response
-/// declares `Connection: close` or is framed by EOF.
-pub struct Client {
-    addr: String,
-    conn: Option<TcpStream>,
-    reused: usize,
-    trace: Option<String>,
-}
-
-impl Client {
-    /// A client for `addr`; no connection is made until the first
-    /// request.
-    pub fn new(addr: impl Into<String>) -> Client {
-        Client { addr: addr.into(), conn: None, reused: 0, trace: None }
-    }
-
-    /// Send `x-craft-trace: id` with every subsequent request, so the
-    /// server can stitch this client's calls to their effects. Pass an
-    /// empty id to stop.
-    pub fn set_trace(&mut self, id: impl Into<String>) {
-        let id = id.into();
-        self.trace = if id.is_empty() { None } else { Some(id) };
-    }
-
-    /// Requests that completed over an already-open connection — the
-    /// keep-alive hit count.
-    pub fn reused(&self) -> usize {
-        self.reused
-    }
-
-    /// Send one request and collect the whole response body. Returns
-    /// `(status, body)`.
-    pub fn request(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> Result<(u16, String), String> {
-        let mut out = String::new();
-        let status = self.stream(method, path, body, &mut |piece: &str| out.push_str(piece))?;
-        Ok((status, out))
-    }
-
-    /// Like [`Client::request`], but hands body pieces to `on_data` as
-    /// they arrive (chunk-by-chunk for chunked responses), so a caller
-    /// can follow a live stream. Returns the status code once the body
-    /// is complete.
-    pub fn stream(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-        on_data: &mut dyn FnMut(&str),
-    ) -> Result<u16, String> {
-        // A cached connection may have been closed by the server since
-        // the last exchange; that surfaces as a send/status-line error
-        // before any body data arrives, so one retry on a fresh
-        // connection is safe. Once `on_data` has seen bytes the request
-        // is committed and errors propagate.
-        let had_cached = self.conn.is_some();
-        let mut delivered = false;
-        match self.attempt(method, path, body, on_data, &mut delivered) {
-            Err(_) if had_cached && !delivered => {
-                self.conn = None;
-                self.attempt(method, path, body, on_data, &mut delivered)
-            }
-            done => done,
-        }
-    }
-
-    fn attempt(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-        on_data: &mut dyn FnMut(&str),
-        delivered: &mut bool,
-    ) -> Result<u16, String> {
-        let addr = &self.addr;
-        let was_cached = self.conn.is_some();
-        let mut conn = match self.conn.take() {
-            Some(c) => c,
-            None => TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?,
-        };
-        let payload = body.unwrap_or("");
-        let trace_header = match &self.trace {
-            Some(id) => format!("x-craft-trace: {id}\r\n"),
-            None => String::new(),
-        };
-        write!(
-            conn,
-            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
-             Connection: keep-alive\r\n{trace_header}\r\n{payload}",
-            payload.len()
-        )
-        .map_err(|e| format!("send: {e}"))?;
-        conn.flush().map_err(|e| format!("send: {e}"))?;
-
-        let read_line = |conn: &mut TcpStream| -> Result<String, String> {
-            let mut line = Vec::new();
-            let mut byte = [0u8; 1];
-            while !line.ends_with(b"\r\n") {
-                match conn.read(&mut byte) {
-                    Ok(0) => return Err("connection closed mid-line".into()),
-                    Ok(_) => line.push(byte[0]),
-                    Err(e) => return Err(format!("read: {e}")),
-                }
-            }
-            line.truncate(line.len() - 2);
-            Ok(String::from_utf8_lossy(&line).into_owned())
-        };
-
-        let status_line = read_line(&mut conn)?;
-        let status: u16 = status_line
-            .split_ascii_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("malformed status line {status_line:?}"))?;
-        let mut chunked = false;
-        let mut server_close = false;
-        let mut content_length: Option<usize> = None;
-        loop {
-            let line = read_line(&mut conn)?;
-            if line.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = line.split_once(':') {
-                let (name, value) = (name.trim().to_ascii_lowercase(), value.trim());
-                if name == "transfer-encoding" && value.eq_ignore_ascii_case("chunked") {
-                    chunked = true;
-                } else if name == "content-length" {
-                    content_length =
-                        Some(value.parse().map_err(|_| format!("bad content-length {value:?}"))?);
-                } else if name == "connection" && value.eq_ignore_ascii_case("close") {
-                    server_close = true;
-                }
-            }
-        }
-
-        let mut reusable = !server_close;
-        if chunked {
-            loop {
-                let size_line = read_line(&mut conn)?;
-                let size = usize::from_str_radix(size_line.trim(), 16)
-                    .map_err(|_| format!("bad chunk size {size_line:?}"))?;
-                let mut data = vec![0u8; size + 2]; // payload + trailing CRLF
-                conn.read_exact(&mut data).map_err(|e| format!("read chunk: {e}"))?;
-                if size == 0 {
-                    break;
-                }
-                *delivered = true;
-                on_data(&String::from_utf8_lossy(&data[..size]));
-            }
-        } else if let Some(n) = content_length {
-            let mut data = vec![0u8; n];
-            conn.read_exact(&mut data).map_err(|e| format!("read body: {e}"))?;
-            *delivered = true;
-            on_data(&String::from_utf8_lossy(&data));
-        } else {
-            // EOF-framed: the body ends with the connection.
-            reusable = false;
-            let mut data = Vec::new();
-            conn.read_to_end(&mut data).map_err(|e| format!("read body: {e}"))?;
-            *delivered = true;
-            on_data(&String::from_utf8_lossy(&data));
-        }
-        if reusable {
-            self.conn = Some(conn);
-        }
-        if was_cached {
-            self.reused += 1;
-        }
-        Ok(status)
     }
 }
 
@@ -439,6 +246,42 @@ mod tests {
     fn empty_connection_is_not_an_error() {
         assert!(read_request(&mut &b""[..]).unwrap().is_none());
         assert!(read_request(&mut &b"GARBAGE"[..]).is_err());
+    }
+
+    /// A sink that counts `write` calls: each one would be its own TCP
+    /// segment, so a message must arrive as exactly one.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_message_is_one_write() {
+        let mut w = CountingWriter::default();
+        respond_with(&mut w, 503, "application/json", &[("Retry-After", "1")], b"{}").unwrap();
+        assert_eq!(w.writes, 1, "respond_with");
+
+        let mut w = CountingWriter::default();
+        let mut ch = Chunked::start(&mut w, 200, "application/jsonl").unwrap();
+        ch.chunk(b"line1\n").unwrap();
+        ch.chunk(b"line2\n").unwrap();
+        ch.finish().unwrap();
+        // Head, two chunks, terminal chunk.
+        assert_eq!(w.writes, 4, "chunked");
+        assert!(String::from_utf8(w.bytes).unwrap().ends_with("6\r\nline2\n\r\n0\r\n\r\n"));
     }
 
     #[test]

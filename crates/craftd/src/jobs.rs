@@ -34,7 +34,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Daemon-wide knobs, fixed at startup.
 #[derive(Debug, Clone)]
@@ -488,6 +488,29 @@ impl JobManager {
         st.draining && st.running == 0 && st.runners_alive == 0
     }
 
+    /// Block until a drain has begun or `timeout` passes. Returns
+    /// whether the daemon is draining.
+    pub fn wait_draining(&self, timeout: Duration) -> bool {
+        let st = self.lock();
+        let (st, _) = self
+            .cond
+            .wait_timeout_while(st, timeout, |st| !st.draining)
+            .unwrap_or_else(|e| e.into_inner());
+        st.draining
+    }
+
+    /// Block until job `id` is in a terminal state or `timeout` passes.
+    /// Returns whether it is terminal (an unknown job counts as
+    /// terminal: nothing more will happen to it). Every state change
+    /// wakes the wait.
+    pub fn wait_terminal(&self, id: &str, timeout: Duration) -> bool {
+        let pending = |st: &mut MgrState| st.jobs.get(id).is_some_and(|j| !j.state.is_terminal());
+        let st = self.lock();
+        let (mut st, _) =
+            self.cond.wait_timeout_while(st, timeout, pending).unwrap_or_else(|e| e.into_inner());
+        !pending(&mut st)
+    }
+
     /// Block until the drain is complete: no job running, all runner
     /// threads exited.
     pub fn wait_drained(&self) {
@@ -603,6 +626,7 @@ impl JobManager {
                 self.tracer.gauge("daemon.jobs_running", st.running as f64);
             }
             self.cond.notify_all();
+            trim_heap();
         }
     }
 
@@ -759,6 +783,27 @@ impl JobManager {
     }
 }
 
+/// Hand the heap pages a finished job freed back to the OS. Jobs that
+/// overlap allocate from separate glibc malloc arenas, and glibc keeps
+/// freed arena pages resident, so without this the daemon's resident
+/// set grows with the number of arenas its jobs have touched rather
+/// than with its live heap.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn trim_heap() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> i32;
+    }
+    // SAFETY: `malloc_trim` takes no pointers and only releases memory
+    // the allocator already holds as free.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+/// No-op where the allocator is not glibc's.
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn trim_heap() {}
+
 /// Fold a trace snapshot out of a run directory (`trace.jsonl`, or the
 /// live stream for a run that died before writing one).
 fn load_snapshot(dir: &std::path::Path) -> Option<mptrace::snapshot::TraceSnapshot> {
@@ -792,5 +837,38 @@ fn summary_of(r: &SearchReport) -> RunSummary {
         retries: r.retries,
         quarantined: r.quarantined,
         pruned_by_shadow: r.pruned_by_shadow,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wait_terminal_wakes_on_the_state_change() {
+        let data_dir =
+            std::env::temp_dir().join(format!("craftd-jobs-wait-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&data_dir);
+        // No runners: the test drives every state change itself.
+        let cfg = DaemonConfig { data_dir: data_dir.clone(), max_running: 0, ..Default::default() };
+        let mgr = JobManager::start(cfg).unwrap();
+        let spec = JobSpec { bench: "vecops".into(), class: "s".into(), ..Default::default() };
+        let id = mgr.submit(spec, None).unwrap();
+        assert!(!mgr.wait_terminal(&id, Duration::from_millis(1)), "a queued job is not terminal");
+        assert!(mgr.wait_terminal("no-such-job", Duration::from_secs(10)));
+
+        let setter = {
+            let (mgr, id) = (Arc::clone(&mgr), id.clone());
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                mgr.set_state(&id, JobState::Done, None);
+            })
+        };
+        let t0 = Instant::now();
+        assert!(mgr.wait_terminal(&id, Duration::from_secs(10)));
+        // Woken by the state change, not by the timeout.
+        assert!(t0.elapsed() < Duration::from_secs(5), "waited {:?}", t0.elapsed());
+        setter.join().unwrap();
+        let _ = std::fs::remove_dir_all(&data_dir);
     }
 }

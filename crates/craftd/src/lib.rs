@@ -31,6 +31,16 @@
 //! none, and a cross-job evaluation cache namespaced by each job's
 //! verdict-determining options (see [`cache::SharedEvalCache`]).
 //!
+//! ## Latency
+//!
+//! A job costs its search plus sub-millisecond HTTP overhead: nothing
+//! on the path from submit to result sleeps. The accept loop blocks in
+//! `accept()`, and a drain watcher wakes it at shutdown. Every socket
+//! is `TCP_NODELAY`, and every HTTP message is one write (see
+//! [`http`]). A live follow wakes on the job manager's condvar the
+//! moment its job ends. After each job the runner returns freed heap
+//! pages to the OS, so overlapping jobs do not inflate resident memory.
+//!
 //! ## Observability
 //!
 //! Every request is counted (aggregate + per-route/status) and timed
@@ -61,8 +71,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How often the accept loop polls the stop flag, and how often a live
-/// stream polls its file for new bytes.
+/// The longest a live follow holds back intermediate deltas (it
+/// forwards the job's final delta as soon as the job ends), and how
+/// often the drain watcher polls the stop flag a signal handler raises.
+/// Neither sits between a submit and its result.
 const POLL: Duration = Duration::from_millis(50);
 
 /// The daemon: a bound listener plus the job engine behind it.
@@ -77,7 +89,6 @@ impl Server {
     /// the job engine with `cfg`.
     pub fn bind(addr: &str, cfg: DaemonConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         Ok(Server {
             mgr: JobManager::start(cfg)?,
             listener,
@@ -105,27 +116,66 @@ impl Server {
     /// arrives) *and* the drain completes. Read endpoints keep working
     /// while in-flight jobs finish; queued jobs are persisted as
     /// `pending`; then this returns.
+    ///
+    /// The accept loop blocks in `accept()`. A watcher thread starts the
+    /// drain, waits for it to complete, and then wakes the loop with a
+    /// connection of its own.
     pub fn run(self) -> std::io::Result<()> {
+        let drained = Arc::new(AtomicBool::new(false));
+        let wake = loopback(self.listener.local_addr()?);
+        let watcher = {
+            let (mgr, stop, drained) =
+                (Arc::clone(&self.mgr), Arc::clone(&self.stop), Arc::clone(&drained));
+            std::thread::spawn(move || {
+                // `POST /admin/drain` wakes this wait at once; the stop
+                // flag, raised from a signal handler, can only be polled.
+                while !mgr.wait_draining(POLL) {
+                    if stop.load(Ordering::SeqCst) {
+                        mgr.drain();
+                    }
+                }
+                mgr.wait_drained();
+                drained.store(true, Ordering::SeqCst);
+                loop {
+                    match TcpStream::connect(wake) {
+                        Ok(_) => break,
+                        // The listener is gone: nothing left to wake.
+                        Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => break,
+                        Err(_) => std::thread::sleep(POLL),
+                    }
+                }
+            })
+        };
         loop {
-            match self.listener.accept() {
-                Ok((conn, _peer)) => {
-                    let mgr = Arc::clone(&self.mgr);
-                    std::thread::spawn(move || handle_connection(conn, &mgr));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if self.stop.load(Ordering::SeqCst) {
-                        self.mgr.drain();
-                    }
-                    if self.mgr.is_drained() {
-                        break;
-                    }
-                    std::thread::sleep(POLL);
-                }
+            let conn = match self.listener.accept() {
+                Ok((conn, _peer)) => conn,
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionAborted => continue,
                 Err(e) => return Err(e),
+            };
+            if drained.load(Ordering::SeqCst) {
+                break;
             }
+            // Responses are single writes; with Nagle on, a follow's
+            // chunks would still wait for the client's delayed ACK.
+            let _ = conn.set_nodelay(true);
+            let mgr = Arc::clone(&self.mgr);
+            std::thread::spawn(move || handle_connection(conn, &mgr));
         }
+        let _ = watcher.join();
         Ok(())
     }
+}
+
+/// Where a connection to `addr` reaches the listener bound there: a
+/// wildcard bind is reached through loopback.
+fn loopback(mut addr: std::net::SocketAddr) -> std::net::SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            std::net::SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            std::net::SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// Serve one connection: parse requests and respond until the client
@@ -398,18 +448,21 @@ fn job_snapshot(dir: &std::path::Path) -> Option<mptrace::snapshot::TraceSnapsho
 
 /// `GET /jobs/<id>/live`: follow the job's `live.jsonl` with a
 /// byte-offset [`LiveTail`] and forward complete lines as chunks until
-/// the job reaches a terminal state (plus one final poll, so the last
-/// delta is never lost). Torn trailing lines stay in the tail's carry
+/// the job reaches a terminal state. Between forwards the follow waits
+/// on the job manager's state condvar, so it wakes the moment the job
+/// ends; the runner drops the job's stream sink (flushing the final
+/// delta) before it changes the state, so the read after that wake
+/// holds the last delta. Torn trailing lines stay in the tail's carry
 /// buffer, so followers only ever see whole records.
 fn stream_live(conn: &mut TcpStream, mgr: &Arc<JobManager>, id: &str) -> std::io::Result<u16> {
-    if mgr.job(id).is_none() {
+    let Some(job) = mgr.job(id) else {
         return http::respond_json(conn, 404, &error_json("no such job")).map(|()| 404);
-    }
+    };
     let live_path = mgr.job_dir(id).join("live.jsonl");
     let mut tail = LiveTail::new(&live_path);
     let mut ch = http::Chunked::start(conn, 200, "application/jsonl")?;
+    let mut terminal = job.state.is_terminal();
     loop {
-        let terminal = mgr.job(id).map(|j| j.state.is_terminal()).unwrap_or(true);
         if tail.poll().is_err() {
             // A corrupt stream is terminal for the follower; what was
             // already forwarded remains valid.
@@ -420,7 +473,27 @@ fn stream_live(conn: &mut TcpStream, mgr: &Arc<JobManager>, id: &str) -> std::io
         if terminal {
             break;
         }
-        std::thread::sleep(POLL);
+        terminal = mgr.wait_terminal(id, POLL);
     }
     ch.finish().map(|()| 200)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn run_returns_after_the_stop_handle_with_no_traffic() {
+        let data_dir = std::env::temp_dir().join(format!("craftd-lib-stop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&data_dir);
+        let cfg = DaemonConfig { data_dir: data_dir.clone(), ..Default::default() };
+        let server = Server::bind("127.0.0.1:0", cfg).unwrap();
+        let stop = server.stop_handle();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(server.run().map_err(|e| e.to_string())));
+        stop.store(true, Ordering::SeqCst);
+        let outcome = rx.recv_timeout(Duration::from_secs(10)).expect("run() still blocked");
+        assert_eq!(outcome, Ok(()));
+        let _ = std::fs::remove_dir_all(&data_dir);
+    }
 }

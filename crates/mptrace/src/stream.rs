@@ -344,10 +344,16 @@ impl LiveLog {
         Ok(log)
     }
 
-    /// Read and parse a live stream from disk.
+    /// Read and parse a live stream from disk. A read that ends
+    /// mid-line on a file still being written is read on until the line
+    /// completes (bounded), so a reader sees each emission whole.
     pub fn from_file(path: impl AsRef<Path>) -> Result<LiveLog, String> {
-        let text = std::fs::read_to_string(path.as_ref())
-            .map_err(|e| format!("{}: {e}", path.as_ref().display()))?;
+        let path = path.as_ref();
+        let mut buf = Vec::new();
+        std::fs::File::open(path)
+            .and_then(|mut f| read_settled(&mut f, &mut buf))
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+        let text = String::from_utf8(buf).map_err(|e| format!("{}: {e}", path.display()))?;
         LiveLog::parse_tolerant(&text)
     }
 
@@ -366,6 +372,30 @@ impl LiveLog {
     pub fn latest_progress(&self) -> Option<&ProgressRecord> {
         self.progress.last()
     }
+}
+
+/// Read `f` to its end into `buf`, then, while what was read ends
+/// mid-line, read on after a short backoff.
+///
+/// One emission is a single `write`, but a write that crosses a page
+/// boundary becomes visible one page at a time: a concurrent reader can
+/// see the first line of an emission without the second, a prefix of
+/// the file that splits an emission. The rest lands within
+/// microseconds, so the backoff is bounded; a file torn for good (a
+/// crashed writer) costs about a millisecond and then degrades to the
+/// tolerant prefix as before.
+fn read_settled(f: &mut std::fs::File, buf: &mut Vec<u8>) -> std::io::Result<()> {
+    use std::io::Read;
+    let start = buf.len();
+    f.read_to_end(buf)?;
+    for backoff_us in [0, 50, 200, 1000] {
+        if buf.len() == start || buf.ends_with(b"\n") {
+            break;
+        }
+        std::thread::sleep(Duration::from_micros(backoff_us));
+        f.read_to_end(buf)?;
+    }
+    Ok(())
 }
 
 /// Incremental reader for a *growing* live stream.
@@ -433,7 +463,7 @@ impl LiveTail {
     /// consumed offset only advances past lines that parsed, so a
     /// mid-file corruption error is sticky rather than silently skipped.
     pub fn poll(&mut self) -> Result<usize, String> {
-        use std::io::{Read, Seek, SeekFrom};
+        use std::io::{Seek, SeekFrom};
         let mut f = match std::fs::File::open(&self.path) {
             Ok(f) => f,
             // Not created yet (or briefly recreated): nothing to read.
@@ -450,9 +480,8 @@ impl LiveTail {
         if len > consumed {
             f.seek(SeekFrom::Start(consumed))
                 .map_err(|e| format!("{}: {e}", self.path.display()))?;
-            let mut buf = Vec::with_capacity((len - consumed) as usize);
-            f.read_to_end(&mut buf).map_err(|e| format!("{}: {e}", self.path.display()))?;
-            self.carry.extend_from_slice(&buf);
+            read_settled(&mut f, &mut self.carry)
+                .map_err(|e| format!("{}: {e}", self.path.display()))?;
         }
         // Always re-scan the carry: an errored poll leaves its complete
         // bad line buffered, so the error re-reports until the file is

@@ -41,6 +41,11 @@ fn tolerant_rereads_always_see_a_consistent_prefix() {
 
     let done = Arc::new(AtomicBool::new(false));
     let reader_done = Arc::clone(&done);
+    // Raised after the reader's first read attempt. The writer waits for
+    // it: on a busy host the reader thread may otherwise first run after
+    // every emit has landed, and the drill would test nothing.
+    let started = Arc::new(AtomicBool::new(false));
+    let reader_started = Arc::clone(&started);
     let reader_path = path.clone();
     let reader = std::thread::spawn(move || {
         let mut reads = 0usize;
@@ -55,11 +60,15 @@ fn tolerant_rereads_always_see_a_consistent_prefix() {
                 max_seen = log.progress.len();
                 reads += 1;
             }
+            reader_started.store(true, Ordering::SeqCst);
             std::thread::yield_now();
         }
         reads
     });
 
+    while !started.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
     for i in 0..EMITS {
         tracer.incr("drill.emitted", 1);
         sink.force(&Progress {
