@@ -92,7 +92,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let mut engine = mpshadow::ShadowEngine::new(orig.insn_id_bound());
                 let mut vm = Vm::new(&orig, VmOptions::default());
-                let out = vm.run_image_observed(&orig_image, &mut engine);
+                let out = vm.run_image_with(&orig_image, &mut engine);
                 assert_eq!(out.stats.steps, orig_steps);
                 engine.into_profile().len()
             })
@@ -107,7 +107,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 prof.clear();
                 let mut vm = Vm::new(&orig, VmOptions::default());
-                let out = vm.run_image_profiled(&orig_image, &mut prof);
+                let out = vm.run_image_with(&orig_image, &mut prof);
                 assert_eq!(out.stats.steps, orig_steps);
                 prof.total_cycles()
             })
@@ -116,12 +116,12 @@ fn bench(c: &mut Criterion) {
         // `fp.*` path): same image, same run, with every scalar FP
         // result and quantize classified. Contract: <5% over
         // `.orig.fast`, while `.orig.fast` itself (the hook compiled
-        // out via `NoopNumObserver`) stays within noise.
+        // out under `()`) stays within noise.
         g.bench_function(format!("{name}.orig.numhealth"), |b| {
             b.iter(|| {
                 let mut prof = mptrace::numprof::NumProfiler::new(orig.insn_id_bound());
                 let mut vm = Vm::new(&orig, VmOptions::default());
-                let out = vm.run_image_numhealth(&orig_image, &mut prof);
+                let out = vm.run_image_with(&orig_image, &mut prof);
                 assert_eq!(out.stats.steps, orig_steps);
                 prof.iter().map(|(_, e)| e.total).sum::<u64>()
             })

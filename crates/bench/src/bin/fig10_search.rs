@@ -5,13 +5,8 @@
 //!
 //! Robustness flags (all optional):
 //!
-//! * `--backend=interp|fast|compiled` — execution backend used for every
-//!   candidate evaluation. The search outcome (candidates, tested,
-//!   replacement percentages, pass/fail) must be identical across
-//!   backends — CI runs the class-S table once per backend and diffs the
-//!   rows — only wall-clock time may differ;
 //! * `--class=s|w|a|c` — run a single problem class instead of the
-//!   default W and A pair (class S is the CI cross-backend check);
+//!   default W and A pair;
 //! * `--lattice=s,h|s,b|…` — descend the precision lattice instead of
 //!   the classic double/single search: each level is tried in order and
 //!   instructions settle at the narrowest format that still verifies.
@@ -41,13 +36,6 @@ fn main() {
     };
     let threads = SearchOptions::default_threads();
     let second_phase = args.iter().any(|a| a == "--second-phase");
-    let backend = match opt("--backend") {
-        Some(s) => fpvm::Backend::parse(&s).unwrap_or_else(|| {
-            eprintln!("unknown backend `{s}` (interp|fast|compiled)");
-            std::process::exit(2);
-        }),
-        None => fpvm::Backend::default(),
-    };
     let lattice = opt("--lattice").map(|s| {
         mpconfig::parse_lattice(&s).unwrap_or_else(|e| {
             eprintln!("bad --lattice: {e}");
@@ -77,8 +65,7 @@ fn main() {
         ..Default::default()
     };
     println!(
-        "Figure 10: NAS benchmark search results [backend: {}]{}{}{}\n",
-        backend,
+        "Figure 10: NAS benchmark search results{}{}{}\n",
         if second_phase { " (with the second composition phase)" } else { "" },
         if faults.is_empty() { "" } else { " (fault injection on)" },
         match &lattice {
@@ -103,7 +90,6 @@ fn main() {
                             .unwrap_or_else(|| SearchOptions::default().lattice),
                         ..Default::default()
                     },
-                    backend,
                     ..Default::default()
                 },
             );

@@ -38,11 +38,8 @@
 //! `--lattice=SPEC` (comma-joined precision levels the search descends
 //! through, e.g. `s,h` or `s,b,m5e6`; default `s`, the classic
 //! single-only search — recorded in the run manifest),
-//! `--backend=interp|fast|compiled` (execution engine for verification
-//! runs — bit-identical results, different throughput; also accepted by
-//! `shadow`/`overhead`/`tree`/`config`, and recorded in the run
-//! manifest), `--shadow-priority` / `--shadow-prune` (shadow-value
-//! search guidance), `--num-health` (replay the final configuration
+//! `--shadow-priority` / `--shadow-prune` (shadow-value search
+//! guidance), `--num-health` (replay the final configuration
 //! under the numerical-health observer and fold `fp.*` counters into
 //! the trace — requires `--trace`; `craft explain` renders the hot
 //! lists), `--events=FILE` (JSONL event log), `--trace=DIR` (run
@@ -1071,12 +1068,6 @@ fn main() {
                 Some("b") => StopDepth::Block,
                 _ => StopDepth::Instruction,
             };
-            let backend = match opt("--backend") {
-                Some(s) => fpvm::Backend::parse(&s).unwrap_or_else(|| {
-                    fail(format!("unknown backend `{s}` (interp|fast|compiled)"))
-                }),
-                None => fpvm::Backend::default(),
-            };
             // --lattice=s,h: the precision levels the search descends
             // through. Absent = the classic single-only search, which
             // keeps the manifest's lattice field empty.
@@ -1107,7 +1098,6 @@ fn main() {
                         prune: flag("--shadow-prune"),
                         ..Default::default()
                     },
-                    backend,
                     num_health: flag("--num-health"),
                 },
             );
@@ -1221,7 +1211,6 @@ fn main() {
                             id: registry::new_run_id(bench, created),
                             bench: bench.to_string(),
                             class: class.to_string(),
-                            backend: backend.name().to_string(),
                             lattice: lattice
                                 .as_deref()
                                 .map(mpconfig::lattice_tokens)
@@ -1347,7 +1336,6 @@ fn main() {
             let spec = JobSpec {
                 bench: bench.to_string(),
                 class: class.to_string(),
-                backend: opt("--backend").unwrap_or_default(),
                 lattice: opt("--lattice").unwrap_or_default(),
                 tol: opt("--tol").map(|v| {
                     v.parse().unwrap_or_else(|_| usage(&format!("--tol wants a number, got {v:?}")))
@@ -1657,13 +1645,12 @@ fn main() {
             println!("  craft list");
             println!("  craft analyze  <bench> [class] [--second-phase] [--stop-depth=f|b|i]");
             println!("                 [--no-split] [--no-priority] [--lean] [--threads=N]");
-            println!("                 [--backend=interp|fast|compiled] [--lattice=s,h|s,b|...]");
-            println!("                 [--shadow-priority] [--shadow-prune] [--num-health]");
+            println!("                 [--lattice=s,h|s,b|...] [--shadow-priority]");
+            println!("                 [--shadow-prune] [--num-health]");
             println!("                 [--events=FILE] [--trace=DIR] [--registry=DIR]");
             println!("                 [--inject-panic=IDX[,IDX..]]");
             println!("                 [--inject-timeout=IDX[,IDX..]]");
             println!("  craft shadow   <bench> [class] [--top=N] [--out=FILE]");
-            println!("                 [--backend=interp|fast|compiled]");
             println!("  craft overhead <bench> [class]");
             println!("  craft tree     <bench> [class]");
             println!("  craft config   <bench> [class]");

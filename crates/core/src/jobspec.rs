@@ -3,11 +3,12 @@
 //!
 //! A [`JobSpec`] is the serializable twin of [`AnalysisOptions`] plus
 //! the workload selector: benchmark, input class, verification
-//! tolerance, execution backend, and the search/rewrite switches the
-//! `craft analyze` CLI exposes as flags. It round-trips through the
-//! repo's hand-rolled JSON (`mptrace::json`), with every field except
-//! `bench` optional so a minimal `{"bench":"ep","class":"s"}` body is a
-//! complete job.
+//! tolerance, and the search/rewrite switches the `craft analyze` CLI
+//! exposes as flags. It round-trips through the repo's hand-rolled JSON
+//! (`mptrace::json`), with every field except `bench` optional so a
+//! minimal `{"bench":"ep","class":"s"}` body is a complete job. Unknown
+//! fields are ignored, so bodies from older clients (which could name an
+//! execution `"backend"`) still parse.
 //!
 //! The benchmark table ([`BENCHES`], [`build_workload`],
 //! [`parse_class`]) lives here too, shared by the CLI and the daemon so
@@ -62,8 +63,6 @@ pub struct JobSpec {
     pub bench: String,
     /// Input-class letter (`s|w|a|c`); defaults to `w` like the CLI.
     pub class: String,
-    /// Execution backend (`interp|fast|compiled`); empty = default.
-    pub backend: String,
     /// Precision lattice spec: comma-joined replacement-flag tokens
     /// (e.g. `"s,h"` or `"s,b,m5e6"`), the levels the search descends
     /// through in order. Empty = the classic single-only search.
@@ -109,7 +108,6 @@ impl Default for JobSpec {
         JobSpec {
             bench: String::new(),
             class: "w".into(),
-            backend: String::new(),
             lattice: String::new(),
             tol: None,
             threads: None,
@@ -137,10 +135,6 @@ impl JobSpec {
         json::esc(&mut o, &self.bench);
         o.push_str(",\"class\":");
         json::esc(&mut o, &self.class);
-        if !self.backend.is_empty() {
-            o.push_str(",\"backend\":");
-            json::esc(&mut o, &self.backend);
-        }
         if !self.lattice.is_empty() {
             o.push_str(",\"lattice\":");
             json::esc(&mut o, &self.lattice);
@@ -195,7 +189,6 @@ impl JobSpec {
         let spec = JobSpec {
             bench: str_of("bench").unwrap_or_default(),
             class: str_of("class").unwrap_or(d.class),
-            backend: str_of("backend").unwrap_or_default(),
             lattice: str_of("lattice").unwrap_or_default(),
             tol: v.get("tol").and_then(Value::as_f64),
             threads: v.get("threads").and_then(Value::as_u64).map(|n| n as usize),
@@ -230,9 +223,6 @@ impl JobSpec {
             ));
         }
         parse_class(&self.class)?;
-        if !self.backend.is_empty() && fpvm::Backend::parse(&self.backend).is_none() {
-            return Err(format!("unknown backend `{}` (interp|fast|compiled)", self.backend));
-        }
         if !self.lattice.is_empty() {
             mpconfig::parse_lattice(&self.lattice)?;
         }
@@ -259,12 +249,6 @@ impl JobSpec {
     /// Map the spec to concrete [`AnalysisOptions`].
     pub fn options(&self) -> Result<AnalysisOptions, String> {
         self.validate()?;
-        let backend = if self.backend.is_empty() {
-            fpvm::Backend::default()
-        } else {
-            fpvm::Backend::parse(&self.backend)
-                .ok_or_else(|| format!("unknown backend `{}`", self.backend))?
-        };
         let stop_depth = match self.stop_depth.as_str() {
             "f" => StopDepth::Function,
             "b" => StopDepth::Block,
@@ -298,7 +282,6 @@ impl JobSpec {
                 prune: self.shadow_prune,
                 ..Default::default()
             },
-            backend,
             num_health: self.num_health,
         })
     }
@@ -306,7 +289,8 @@ impl JobSpec {
     /// Cache namespace for the cross-job evaluation cache: everything
     /// that deterministically changes an evaluation's verdict for a
     /// given replaced-instruction set — program identity (bench +
-    /// class), tolerance, rewrite shape, fuel quota, and backend.
+    /// class), tolerance, rewrite shape, and fuel quota. The execution
+    /// engine is not: every engine is bit-identical.
     /// The lattice is *not* part of the namespace: cache keys already
     /// encode each instruction's target format, so jobs with different
     /// lattices share any overlapping trials.
@@ -315,13 +299,12 @@ impl JobSpec {
     /// outcomes anyway.
     pub fn cache_namespace(&self) -> String {
         format!(
-            "{}.{}|tol={}|lean={}|fuel={}|backend={}",
+            "{}.{}|tol={}|lean={}|fuel={}",
             self.bench,
             self.class,
             self.tol.map(|t| format!("{t:e}")).unwrap_or_else(|| "default".into()),
             self.lean,
             self.fuel_limit.map(|f| f.to_string()).unwrap_or_else(|| "default".into()),
-            if self.backend.is_empty() { "default" } else { &self.backend },
         )
     }
 }
@@ -345,7 +328,6 @@ mod tests {
         let spec = JobSpec {
             bench: "cg".into(),
             class: "s".into(),
-            backend: "fast".into(),
             lattice: "s,h,m5e6".into(),
             tol: Some(1e-8),
             threads: Some(3),
@@ -368,11 +350,26 @@ mod tests {
     }
 
     #[test]
+    fn legacy_backend_field_is_ignored() {
+        // Clients from when the execution engine was a setting may still
+        // send it; any value parses to the same job.
+        let plain = JobSpec::parse(r#"{"bench":"ep","class":"s"}"#).unwrap();
+        for body in [
+            r#"{"bench":"ep","class":"s","backend":"fast"}"#,
+            r#"{"bench":"ep","class":"s","backend":"gpu"}"#,
+        ] {
+            let spec = JobSpec::parse(body).unwrap();
+            assert_eq!(spec, plain);
+            assert!(!spec.to_json().contains("backend"));
+            assert_eq!(spec.cache_namespace(), plain.cache_namespace());
+        }
+    }
+
+    #[test]
     fn bad_specs_are_rejected() {
         assert!(JobSpec::parse(r#"{"class":"s"}"#).is_err());
         assert!(JobSpec::parse(r#"{"bench":"nope"}"#).is_err());
         assert!(JobSpec::parse(r#"{"bench":"ep","class":"z"}"#).is_err());
-        assert!(JobSpec::parse(r#"{"bench":"ep","backend":"gpu"}"#).is_err());
         assert!(JobSpec::parse(r#"{"bench":"ep","tol":-1.0}"#).is_err());
         assert!(JobSpec::parse(r#"{"bench":"ep","lattice":"s,x"}"#).is_err());
         assert!(JobSpec::parse(r#"{"bench":"ep","lattice":"s,d"}"#).is_err());

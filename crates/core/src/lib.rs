@@ -71,16 +71,12 @@ pub struct AnalysisOptions {
     pub rewrite: RewriteOptions,
     /// Shadow-value analysis options (see `mpshadow`).
     pub shadow: ShadowOptions,
-    /// Execution backend for verification runs (`--backend=`). All
-    /// backends are bit-identical; this only changes trial throughput.
-    pub backend: fpvm::Backend,
     /// Arm the numerical-health observer (`--num-health`): after the
-    /// search, the final configuration is run once more under the
-    /// [`fpvm::NumObserver`] hook and the per-instruction `fp.*` event
-    /// counters are folded into the attached tracer. The observed run
-    /// always uses the interpreter fast path — both compiled tiers
-    /// execute FP effects inside opaque handlers (see
-    /// `fpvm::compiled`) — which is sound because all backends are
+    /// search, the final configuration is run once more with an
+    /// [`fpvm::Observer`] that arms `NUM_HEALTH`, and the
+    /// per-instruction `fp.*` event counters are folded into the
+    /// attached tracer. Value hooks run on the pre-decoded fast path
+    /// (see `fpvm::compiled`), which is sound because every engine is
     /// bit-identical.
     pub num_health: bool,
 }
@@ -220,12 +216,14 @@ impl AnalysisSystem {
     }
 
     /// Profile the original binary (used for search prioritization and
-    /// the dynamic-replacement metric).
+    /// the dynamic-replacement metric). Profile counts are bit-identical
+    /// across engines, so this run takes the compiled backend's threaded
+    /// tier rather than the reference interpreter.
     pub fn profile(&self) -> Profile {
+        let prog = self.workload.program();
         let opts = VmOptions { profile: true, ..self.workload.vm_opts() };
-        Vm::run_program(self.workload.program(), opts)
-            .profile
-            .expect("profiling run lost its profile")
+        let cimg = fpvm::CompiledImage::compile(prog, &opts.cost);
+        Vm::new(prog, opts).run_compiled(&cimg).profile.expect("profiling run lost its profile")
     }
 
     /// Evaluate one configuration: instrument, run, verify.
@@ -242,7 +240,6 @@ impl AnalysisSystem {
             self.opts.rewrite.clone(),
             self.workload.verifier(),
         );
-        ev.set_backend(self.opts.backend);
         if let Some(t) = &self.tracer {
             ev.set_tracer(t.clone());
         }
@@ -296,10 +293,9 @@ impl AnalysisSystem {
     /// observer and return the per-instruction event profile, folded
     /// back to original instruction ids (instrumentation snippets
     /// attribute to the instruction they expand). The observed run uses
-    /// the interpreter fast path regardless of
-    /// [`AnalysisOptions::backend`] — the compiled tiers execute FP
-    /// effects inside opaque handlers and cannot expose per-operation
-    /// values — which is sound because all backends are bit-identical.
+    /// the pre-decoded fast path: the compiled tiers execute FP effects
+    /// inside opaque handlers and cannot expose per-operation values.
+    /// That is sound because every engine is bit-identical.
     pub fn num_health_profile(&self, cfg: &Config) -> mptrace::numprof::NumProfiler {
         let prog = self.workload.program();
         let rewriter = instrument::Rewriter::new(prog, self.opts.rewrite.clone());
@@ -308,7 +304,7 @@ impl AnalysisSystem {
         let image = fpvm::exec::ExecImage::compile(&instrumented, &vm_opts.cost);
         let mut prof = mptrace::numprof::NumProfiler::new(instrumented.insn_id_bound());
         let mut vm = Vm::new(&instrumented, vm_opts);
-        let out = vm.run_image_numhealth(&image, &mut prof);
+        let out = vm.run_image_with(&image, &mut prof);
         assert!(out.ok(), "num-health run of a verified config failed: {:?}", out.result);
         let mut origin: Vec<u32> = (0..instrumented.insn_id_bound() as u32).collect();
         for (_, _, insn) in instrumented.iter_insns() {

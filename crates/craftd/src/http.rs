@@ -55,17 +55,19 @@ pub struct Request {
 
 /// Map a [`read_request`] error message to a stable low-cardinality
 /// reason token, suitable as a metric-name suffix
-/// (`http.parse_errors.<reason>`).
+/// (`http.parse_errors.<reason>`). Matches on each message's fixed
+/// prefix only: the rest quotes client bytes, which may contain any
+/// other message's words.
 pub fn parse_error_reason(err: &str) -> &'static str {
-    if err.contains("head too large") {
+    if err.starts_with("request head too large") {
         "head_too_large"
-    } else if err.contains("body too large") {
+    } else if err.starts_with("request body too large") {
         "body_too_large"
-    } else if err.contains("malformed request line") {
+    } else if err.starts_with("malformed request line") {
         "bad_request_line"
-    } else if err.contains("bad content-length") {
+    } else if err.starts_with("bad content-length") {
         "bad_content_length"
-    } else if err.contains("mid-request") || err.contains("read body") {
+    } else if err.starts_with("connection closed mid-request") || err.starts_with("read body") {
         "truncated"
     } else {
         "other"
@@ -410,6 +412,10 @@ mod tests {
         assert_eq!(parse_error_reason("bad content-length \"x\""), "bad_content_length");
         assert_eq!(parse_error_reason("connection closed mid-request"), "truncated");
         assert_eq!(parse_error_reason("read: broken pipe"), "other");
+        // A quoted request line that happens to contain another reason's
+        // words keeps its own reason.
+        let err = read_request(&mut &b"GARBAGE head too large\r\n\r\n"[..]).unwrap_err();
+        assert_eq!(parse_error_reason(&err), "bad_request_line", "{err}");
     }
 
     #[test]

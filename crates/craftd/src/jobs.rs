@@ -717,7 +717,6 @@ impl JobManager {
             id: id.to_string(),
             bench: spec.bench.clone(),
             class: spec.class.clone(),
-            backend: sys_backend_name(&spec),
             lattice: spec.lattice.clone(),
             trace_id: trace_id.clone(),
             config_hash: config_hash.clone(),
@@ -814,14 +813,6 @@ fn load_snapshot(dir: &std::path::Path) -> Option<mptrace::snapshot::TraceSnapsh
         }
     }
     LiveLog::from_file(dir.join("live.jsonl")).ok().map(|log| log.final_snapshot())
-}
-
-fn sys_backend_name(spec: &JobSpec) -> String {
-    if spec.backend.is_empty() {
-        fpvm::Backend::default().name().to_string()
-    } else {
-        spec.backend.clone()
-    }
 }
 
 /// Fold a [`SearchReport`] into the manifest's [`RunSummary`].

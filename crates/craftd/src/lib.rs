@@ -18,7 +18,7 @@
 //! | `GET /jobs`            | All job records                             |
 //! | `GET /jobs/<id>`       | One job's status record                     |
 //! | `GET /jobs/<id>/live`  | Chunked follow of the job's `live.jsonl` until it finishes |
-//! | `GET /jobs/<id>/metrics` | The job's trace as Prometheus text, labelled `job`/`bench`/`backend`/`lattice`; running jobs fold `live.jsonl` into a partial snapshot, `503 + Retry-After` until the first delta exists |
+//! | `GET /jobs/<id>/metrics` | The job's trace as Prometheus text, labelled `job`/`bench`/`lattice`; running jobs fold `live.jsonl` into a partial snapshot, `503 + Retry-After` until the first delta exists |
 //! | `GET /jobs/<id>/decisions` | The job's `decisions.jsonl` verbatim — per-instruction precision decision provenance; `503 + Retry-After` while the job is still running, `404` if it finished without recording any |
 //! | `GET /metrics`         | Unified exposition: daemon series (jobs, queue, cache, request telemetry) + every job's series, labelled — including the `craft_fp_*` numerical-health family for `num_health` jobs |
 //! | `GET /healthz`         | Liveness probe                              |
@@ -393,24 +393,14 @@ fn route(
 
 /// The job's constant label set for Prometheus expositions.
 fn job_labels(j: &JobRecord) -> Vec<(&'static str, String)> {
-    let backend = if j.spec.backend.is_empty() {
-        fpvm::Backend::default().name().to_string()
-    } else {
-        j.spec.backend.clone()
-    };
     let lattice =
         if j.spec.lattice.is_empty() { "classic".to_string() } else { j.spec.lattice.clone() };
-    vec![
-        ("job", j.id.clone()),
-        ("bench", j.spec.bench.clone()),
-        ("backend", backend),
-        ("lattice", lattice),
-    ]
+    vec![("job", j.id.clone()), ("bench", j.spec.bench.clone()), ("lattice", lattice)]
 }
 
 /// The unified `GET /metrics` body: the daemon-lifetime series first
 /// (with `# TYPE` headers), then every known job's series labelled
-/// `job`/`bench`/`backend`/`lattice`, comment lines stripped so each
+/// `job`/`bench`/`lattice`, comment lines stripped so each
 /// metric family is declared at most once.
 fn unified_metrics(mgr: &Arc<JobManager>) -> String {
     mgr.publish_gauges();

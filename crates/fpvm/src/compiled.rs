@@ -25,70 +25,30 @@
 //! machine state, same profile. `tests/exec_differential.rs` proves this
 //! differentially on random and instrumented programs.
 //!
-//! **Observer/profiler fallback contract** (tested in this module and in
-//! `tests/exec_differential.rs`): fused kernels cannot attribute per-op
-//! profile hits, so [`Vm::run_compiled`] uses the fused tier only for
-//! plain unobserved runs (`profile == None`). Profiled runs — either the
-//! VM's own `profile: true` option or an attached [`StepObserver`] via
-//! [`Vm::run_compiled_profiled`] — always take the threaded tier, which
-//! keeps exact per-instruction attribution. `ExecObserver`-observed runs
-//! (shadow analysis) stay on [`Vm::run_image_observed`]; the selection is
-//! explicit in each caller, never silent. The same rule extends one tier
-//! further for numerical health: both compiled tiers execute FP effects
-//! inside opaque handlers and cannot expose per-operation values, so a
-//! [`crate::exec::NumObserver`]-armed run always takes
-//! [`Vm::run_image_numhealth`] (the observed fast path) regardless of the
-//! selected backend — sound because the tiers are bit-identical.
+//! **Tier selection** is one rule, decided by what a run observes:
+//!
+//! * unobserved runs ([`Vm::run_compiled`] without `VmOptions::profile`)
+//!   take the fused tier;
+//! * runs that need per-op attribution — `VmOptions::profile`, or an
+//!   [`Observer`] with `STEPS` armed via [`Vm::run_compiled_with`] —
+//!   take the threaded tier, which keeps exact per-instruction counts;
+//! * runs that need per-operation values (`FP_EVENTS` for shadow
+//!   analysis, `NUM_HEALTH` for numerical health) cannot be served here
+//!   at all: both tiers execute FP effects inside opaque handlers. They
+//!   run on [`Vm::run_image_with`], and [`Vm::run_compiled_with`] refuses
+//!   such observers at compile time. Bit-identity across the engines is
+//!   what makes every choice sound.
+//!
+//! [`Vm::run`], the tree-walking interpreter, is the reference oracle the
+//! differential tests compare every engine against.
 
 use crate::cost::CostModel;
-use crate::exec::{
-    AddrD, ExecImage, ExecOp, FpLocD, GmiD, NoopStepObserver, OpK, RmD, StepObserver,
-};
+use crate::exec::{AddrD, ExecImage, ExecOp, FpLocD, GmiD, Observer, OpK, RmD};
 use crate::interp::{RunOutcome, Vm};
 use crate::isa::{Cond, FpAluOp, Gpr, InsnId, IntOp, MathFun};
 use crate::program::Program;
 use crate::trap::Trap;
 use std::marker::PhantomData;
-
-/// Which execution engine runs a program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Backend {
-    /// The reference tree-walking interpreter ([`Vm::run`]).
-    Interp,
-    /// The pre-decoded linear image ([`Vm::run_image`]).
-    Fast,
-    /// The compiled backend ([`Vm::run_compiled`]): threaded code with
-    /// fused superinstruction regions.
-    #[default]
-    Compiled,
-}
-
-impl Backend {
-    /// Parse a backend name as used by `--backend=` CLI flags.
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s {
-            "interp" => Some(Backend::Interp),
-            "fast" => Some(Backend::Fast),
-            "compiled" => Some(Backend::Compiled),
-            _ => None,
-        }
-    }
-
-    /// The stable name of this backend (`interp`/`fast`/`compiled`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Interp => "interp",
-            Backend::Fast => "fast",
-            Backend::Compiled => "compiled",
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// A specialized op handler: executes one op's architectural effect and
 /// returns the next pc (`u32::MAX` = halt). Accounting (fuel, steps,
@@ -1613,14 +1573,14 @@ impl<'p> Vm<'p> {
     }
 
     /// The threaded tier: exact per-op accounting (fuel, steps, cycles,
-    /// fp, profile, step observer), dispatching through the bound
-    /// handlers. Also serves as the exact fallback for the fused tier.
-    fn threaded_from<P: StepObserver>(
+    /// fp, profile, step hook), dispatching through the bound handlers.
+    /// Also serves as the exact fallback for the fused tier.
+    fn threaded_from<O: Observer>(
         &mut self,
         img: &CompiledImage,
         mut pc: u32,
         rs: &mut Vec<u32>,
-        prof: &mut P,
+        obs: &mut O,
     ) -> Result<(), Trap> {
         let insts = &img.insts[..];
         let fuel = self.opts.fuel;
@@ -1640,8 +1600,8 @@ impl<'p> Vm<'p> {
                     p.bump(i.id);
                 }
             }
-            if P::ENABLED {
-                prof.step(i.id, i.cost);
+            if O::STEPS {
+                obs.step(i.id, i.cost);
             }
             pc = (i.run)(self, i, rs, pc)?;
         }
@@ -1661,7 +1621,7 @@ impl<'p> Vm<'p> {
             }
             let r = &img.regions[img.region_at[pc as usize] as usize];
             if r.start != pc || self.stats.steps + r.steps > fuel {
-                return self.threaded_from(img, pc, &mut rs, &mut NoopStepObserver);
+                return self.threaded_from(img, pc, &mut rs, &mut ());
             }
             // Charge the whole region up front; per-op checks are
             // provably redundant inside it.
@@ -1691,38 +1651,52 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Run under the compiled backend. Unobserved, unprofiled runs take
-    /// the fused tier; runs with `profile: true` fall back to the
-    /// threaded tier so per-instruction attribution stays exact (the
-    /// documented observer/profiler fallback contract).
+    /// Run under the compiled backend. Unobserved runs take the fused
+    /// tier; runs with `profile: true` take the threaded tier so
+    /// per-instruction attribution stays exact.
     pub fn run_compiled(&mut self, image: &CompiledImage) -> RunOutcome {
+        if self.profile.is_some() {
+            return self.run_compiled_with(image, &mut ());
+        }
         self.check_compiled(image);
-        let result = if self.profile.is_some() {
-            let mut rs: Vec<u32> = Vec::with_capacity(64);
-            self.threaded_from(image, image.entry, &mut rs, &mut NoopStepObserver)
-        } else {
-            self.run_fused(image)
-        };
+        let result = self.run_fused(image);
         RunOutcome { stats: self.stats, result, profile: self.profile.take() }
     }
 
-    /// Run the threaded tier unconditionally (no fusion). Primarily for
-    /// differential testing of the tiers against each other.
-    pub fn run_compiled_threaded(&mut self, image: &CompiledImage) -> RunOutcome {
-        self.run_compiled_profiled(image, &mut NoopStepObserver)
-    }
-
-    /// Run with an attached [`StepObserver`]. Always uses the threaded
-    /// tier: fused kernels cannot attribute steps per instruction, so an
-    /// observed run never takes the fused tier.
-    pub fn run_compiled_profiled<P: StepObserver>(
+    /// Run the threaded tier with an [`Observer`] attached (with `()`,
+    /// the plain threaded tier). Fused kernels cannot attribute steps
+    /// per instruction, so an observed run never takes the fused tier.
+    ///
+    /// Value hooks cannot be served by either compiled tier, so an
+    /// observer that arms `FP_EVENTS` or `NUM_HEALTH` is a compile
+    /// error; run it on [`Vm::run_image_with`] instead:
+    ///
+    /// ```compile_fail,E0080
+    /// use fpvm::{CompiledImage, CostModel, Observer, Program, Vm, VmOptions};
+    ///
+    /// struct Health;
+    /// impl Observer for Health {
+    ///     const NUM_HEALTH: bool = true;
+    /// }
+    ///
+    /// let p = Program::new(64);
+    /// let c = CompiledImage::compile(&p, &CostModel::default());
+    /// Vm::new(&p, VmOptions::default()).run_compiled_with(&c, &mut Health);
+    /// ```
+    pub fn run_compiled_with<O: Observer>(
         &mut self,
         image: &CompiledImage,
-        prof: &mut P,
+        obs: &mut O,
     ) -> RunOutcome {
+        const {
+            assert!(
+                !O::FP_EVENTS && !O::NUM_HEALTH,
+                "compiled tiers cannot serve value hooks; use Vm::run_image_with"
+            )
+        };
         self.check_compiled(image);
         let mut rs: Vec<u32> = Vec::with_capacity(64);
-        let result = self.threaded_from(image, image.entry, &mut rs, prof);
+        let result = self.threaded_from(image, image.entry, &mut rs, obs);
         RunOutcome { stats: self.stats, result, profile: self.profile.take() }
     }
 }
@@ -1798,7 +1772,7 @@ mod tests {
         let mut fused = Vm::new(p, opts.clone());
         let co = fused.run_compiled(&cimg);
         let mut thr = Vm::new(p, opts.clone());
-        let to = thr.run_compiled_threaded(&cimg);
+        let to = thr.run_compiled_with(&cimg, &mut ());
 
         for (name, vm, out) in [("fused", &fused, &co), ("threaded", &thr, &to)] {
             assert_eq!(fo.result, out.result, "{name}: result/trap diverges");
@@ -1918,8 +1892,8 @@ mod tests {
     #[test]
     fn step_observer_sees_identical_stream_on_both_paths() {
         struct Rec(Vec<(u32, u64)>);
-        impl StepObserver for Rec {
-            const ENABLED: bool = true;
+        impl Observer for Rec {
+            const STEPS: bool = true;
             fn step(&mut self, insn: InsnId, cost: u64) {
                 self.0.push((insn.0, cost));
             }
@@ -1928,9 +1902,9 @@ mod tests {
         let image = ExecImage::compile(&p, &CostModel::default());
         let cimg = CompiledImage::from_image(&image);
         let mut r1 = Rec(Vec::new());
-        let o1 = Vm::new(&p, VmOptions::default()).run_image_profiled(&image, &mut r1);
+        let o1 = Vm::new(&p, VmOptions::default()).run_image_with(&image, &mut r1);
         let mut r2 = Rec(Vec::new());
-        let o2 = Vm::new(&p, VmOptions::default()).run_compiled_profiled(&cimg, &mut r2);
+        let o2 = Vm::new(&p, VmOptions::default()).run_compiled_with(&cimg, &mut r2);
         assert_eq!(o1.result, o2.result);
         assert_eq!(o1.stats.cycles, o2.stats.cycles);
         assert_eq!(r1.0, r2.0, "per-step observer streams diverge");
@@ -1959,15 +1933,5 @@ mod tests {
             Vm::new(&p, VmOptions::default()).run_compiled(&cimg)
         }));
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn backend_names_round_trip() {
-        assert_eq!(Backend::default(), Backend::Compiled);
-        for b in [Backend::Interp, Backend::Fast, Backend::Compiled] {
-            assert_eq!(Backend::parse(b.name()), Some(b));
-            assert_eq!(format!("{b}"), b.name());
-        }
-        assert_eq!(Backend::parse("jit"), None);
     }
 }

@@ -12,16 +12,20 @@
 //! * [`program`] — program images (modules → functions → basic blocks →
 //!   instructions) with CFG editing primitives (block splitting, edge
 //!   rewiring) used by the instrumentation layer;
-//! * [`interp`] — a bit-faithful interpreter with profiling, fuel, and the
-//!   crash-on-miss trap for replaced values;
+//! * [`interp`] — a bit-faithful tree-walking interpreter with profiling,
+//!   fuel, and the crash-on-miss trap for replaced values: the reference
+//!   oracle every other engine is differentially tested against;
 //! * [`value`] — the in-place downcast-and-flag representation of replaced
 //!   doubles (`0x7FF4DEAD`, paper Fig. 5);
 //! * [`cost`] — a documented cycle/bandwidth model for *modelled* speedups;
 //! * [`exec`] — a pre-decoded linear execution image, the interpreter's
-//!   fast path (bit-identical to [`interp`], differentially tested);
+//!   fast path (bit-identical to [`interp`], differentially tested), and
+//!   the one [`Observer`] hook trait;
 //! * [`compiled`] — the compiled backend: threaded-code dispatch over
 //!   monomorphized op handlers plus block-fused superinstruction regions
-//!   (bit-identical to [`exec`], differentially tested);
+//!   (bit-identical to [`exec`], differentially tested). Which tier runs
+//!   is decided by what the run observes, never by a setting (see the
+//!   module docs);
 //! * [`cluster`] — an intra-node MPI-rank analogue for the scaling
 //!   experiments (paper Fig. 8).
 
@@ -39,12 +43,9 @@ pub mod program;
 pub mod trap;
 pub mod value;
 
-pub use compiled::{Backend, CompiledImage};
+pub use compiled::CompiledImage;
 pub use cost::CostModel;
-pub use exec::{
-    ExecImage, ExecObserver, FpEvent, FpLocV, NoopNumObserver, NoopObserver, NoopStepObserver,
-    NumObserver, StepObserver,
-};
+pub use exec::{ExecImage, FpEvent, FpLocV, Observer};
 pub use interp::{RunOutcome, RunStats, Vm, VmOptions};
 pub use isa::{
     BlockId, Cond, FpAluOp, FpLoc, FuncId, Gpr, Insn, InsnId, InstKind, IntOp, MathFun, MemRef,

@@ -5,8 +5,10 @@
 //!
 //! * instrumented programs come from an incremental [`Rewriter`] that
 //!   caches per-block expansions across configurations;
-//! * runs go through the pre-decoded [`ExecImage`] fast path instead of
-//!   the tree-walking reference interpreter;
+//! * runs go through the compiled backend ([`CompiledImage`]) instead of
+//!   the tree-walking reference interpreter: the fused tier when
+//!   untraced, the threaded tier when a tracer needs per-instruction
+//!   attribution (`fpvm::compiled` states the selection rule);
 //! * each run gets a fuel budget derived from the all-double baseline, so
 //!   diverging candidates fail fast instead of burning the global fuel cap.
 //!
@@ -15,7 +17,7 @@
 
 use fpvm::exec::ExecImage;
 use fpvm::program::Program;
-use fpvm::{Backend, CompiledImage, Memory, Trap, Vm, VmOptions};
+use fpvm::{CompiledImage, Memory, Trap, Vm, VmOptions};
 use instrument::{rewrite_all_double, RewriteOptions, Rewriter};
 use mpconfig::{Config, StructureTree};
 use mptrace::profiler::InsnProfiler;
@@ -105,7 +107,6 @@ pub struct VmEvaluator<'p> {
     fuel_capped: AtomicUsize,
     mem_pool: Mutex<Vec<Memory>>,
     tracer: Option<Tracer>,
-    backend: Backend,
 }
 
 impl<'p> VmEvaluator<'p> {
@@ -138,22 +139,7 @@ impl<'p> VmEvaluator<'p> {
             fuel_capped: AtomicUsize::new(0),
             mem_pool: Mutex::new(Vec::new()),
             tracer: None,
-            backend: Backend::default(),
         }
-    }
-
-    /// Select the execution backend for verification runs. Unobserved
-    /// runs honor the choice directly; traced runs need per-instruction
-    /// attribution, so `Compiled` uses its threaded tier and
-    /// `Interp`/`Fast` use the profiled image path (the documented
-    /// observer-fallback contract).
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
-    }
-
-    /// The execution backend verification runs use.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// Attach a [`Tracer`]: evaluations get rewrite/run spans and
@@ -186,8 +172,11 @@ impl<'p> VmEvaluator<'p> {
             // The all-double instrumented run is the yardstick: every
             // candidate carries comparable instrumentation overhead, so a
             // healthy run stays within a small multiple of its step count.
+            // Step counts are bit-identical across engines, so the
+            // budget is the same as the reference interpreter's.
             let (base, _) = rewrite_all_double(self.prog, self.tree);
-            let out = Vm::run_program(&base, self.vm_opts.clone());
+            let cimg = CompiledImage::compile(&base, &self.vm_opts.cost);
+            let out = Vm::new(&base, self.vm_opts.clone()).run_compiled(&cimg);
             match out.result {
                 Ok(()) => {
                     out.stats.steps.saturating_mul(self.fuel_factor).clamp(1, self.vm_opts.fuel)
@@ -205,11 +194,16 @@ impl Evaluator for VmEvaluator<'_> {
     }
 
     fn evaluate_run(&self, cfg: &Config, ctl: &RunControl) -> EvalOutcome {
-        let rewrite_span = self.tracer.as_ref().map(|t| t.span("rewrite"));
+        let span = |name| self.tracer.as_ref().map(|t| t.span(name));
+        let rewrite_span = span("rewrite");
         let (instrumented, _) = self.rewriter.rewrite(self.prog, self.tree, cfg);
-        let image = ExecImage::compile(&instrumented, &self.vm_opts.cost);
-        let cimg = (self.backend == Backend::Compiled).then(|| CompiledImage::from_image(&image));
         drop(rewrite_span);
+        let decode_span = span("decode");
+        let image = ExecImage::compile(&instrumented, &self.vm_opts.cost);
+        drop(decode_span);
+        let bind_span = span("bind");
+        let cimg = CompiledImage::from_image(&image);
+        drop(bind_span);
         let mut fuel = self.fuel_budget();
         if let Some(cap) = ctl.fuel_override {
             fuel = fuel.min(cap.max(1));
@@ -218,20 +212,16 @@ impl Evaluator for VmEvaluator<'_> {
         opts.fuel = fuel;
         let mem = self.mem_pool.lock().unwrap().pop().unwrap_or_else(|| Memory::new(0, &[]));
         let mut vm = Vm::with_memory(&instrumented, opts, mem);
-        let run_span = self.tracer.as_ref().map(|t| t.span("run"));
+        let run_span = span("run");
         let t0 = Instant::now();
         let outcome = match &self.tracer {
             // Traced: profile the run, then attribute snippet-insn time
             // back to the original instruction each snippet expands.
             Some(tracer) => {
                 let mut prof = InsnProfiler::new(instrumented.insn_id_bound());
-                // Attribution needs per-op dispatch: the compiled
-                // backend's threaded tier keeps it exact; fused regions
-                // would not, so they are never used here.
-                let outcome = match &cimg {
-                    Some(c) => vm.run_compiled_profiled(c, &mut prof),
-                    None => vm.run_image_profiled(&image, &mut prof),
-                };
+                // The step hook runs on the threaded tier, which keeps
+                // per-instruction attribution exact.
+                let outcome = vm.run_compiled_with(&cimg, &mut prof);
                 let mut origin: Vec<u32> = (0..instrumented.insn_id_bound() as u32).collect();
                 for (_, _, insn) in instrumented.iter_insns() {
                     if let Some(o) = insn.origin {
@@ -243,11 +233,7 @@ impl Evaluator for VmEvaluator<'_> {
                 tracer.merge_hot(&folded);
                 outcome
             }
-            None => match (&cimg, self.backend) {
-                (Some(c), _) => vm.run_compiled(c),
-                (None, Backend::Interp) => vm.run(),
-                (None, _) => vm.run_image(&image),
-            },
+            None => vm.run_compiled(&cimg),
         };
         drop(run_span);
         if let Some(t) = &self.tracer {

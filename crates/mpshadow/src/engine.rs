@@ -1,4 +1,4 @@
-//! The shadow-value engine: an [`ExecObserver`] that mirrors every
+//! The shadow-value engine: an [`Observer`] that mirrors every
 //! scalar-double operation in single precision.
 //!
 //! ## Shadow state
@@ -28,13 +28,13 @@
 //! logs one catastrophic-cancellation event.
 
 use crate::profile::{InsnSensitivity, SensitivityProfile};
-use fpvm::exec::{ExecObserver, FpEvent, FpLocV};
+use fpvm::exec::{FpEvent, FpLocV, Observer};
 use fpvm::isa::{FpAluOp, InsnId};
 use fpvm::Vm;
 use std::collections::HashMap;
 
 /// Shadow-value execution engine; attach with
-/// [`Vm::run_image_observed`](fpvm::Vm::run_image_observed).
+/// [`Vm::run_image_with`](fpvm::Vm::run_image_with).
 #[derive(Debug)]
 pub struct ShadowEngine {
     /// Per-register shadow of the scalar (low-64) slot.
@@ -199,10 +199,10 @@ impl ShadowEngine {
     }
 }
 
-impl ExecObserver for ShadowEngine {
-    const ENABLED: bool = true;
+impl Observer for ShadowEngine {
+    const FP_EVENTS: bool = true;
 
-    fn trace(&mut self, ev: &FpEvent) {
+    fn fp_event(&mut self, ev: &FpEvent) {
         match *ev {
             FpEvent::Arith64 { insn, op, dst, src, a, b, r } => {
                 let sa = self.reg_shadow(dst, a);
@@ -289,7 +289,7 @@ mod tests {
         e.set_reg(3, 7.25);
         assert_eq!(e.operand(FpLocV::Reg(3), 999.0), 7.25);
         // clobber invalidates: next use re-seeds
-        e.trace(&FpEvent::Clobber { loc: FpLocV::Reg(3), width: 4 });
+        e.fp_event(&FpEvent::Clobber { loc: FpLocV::Reg(3), width: 4 });
         assert_eq!(e.operand(FpLocV::Reg(3), 2.0), 2.0f32);
     }
 
@@ -297,7 +297,7 @@ mod tests {
     fn arith_events_feed_the_range_envelope() {
         let mut e = ShadowEngine::new(2);
         for (a, b) in [(3.0f64, 4.0f64), (0.5, 0.0), (-2.0e4, 1.0)] {
-            e.trace(&FpEvent::Arith64 {
+            e.fp_event(&FpEvent::Arith64 {
                 insn: InsnId(1),
                 op: FpAluOp::Add,
                 dst: 0,
@@ -320,7 +320,7 @@ mod tests {
         e.write(FpLocV::Mem(80), 2.0);
         assert_eq!(e.tracked_mem_slots(), 2);
         // a 4-byte write at 68 overlaps the slot at 64 but not 80
-        e.trace(&FpEvent::Clobber { loc: FpLocV::Mem(68), width: 4 });
+        e.fp_event(&FpEvent::Clobber { loc: FpLocV::Mem(68), width: 4 });
         assert_eq!(e.tracked_mem_slots(), 1);
         assert_eq!(e.operand(FpLocV::Mem(80), 0.0), 2.0);
     }

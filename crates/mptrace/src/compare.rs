@@ -136,17 +136,6 @@ pub fn compare(
         let eq = |x: &str, y: &str| if x == y { "same".to_string() } else { format!("{x} -> {y}") };
         let _ = writeln!(out, "  bench:       {}", eq(&ma.bench, &mb.bench));
         let _ = writeln!(out, "  class:       {}", eq(&ma.class, &mb.class));
-        if !ma.backend.is_empty() || !mb.backend.is_empty() {
-            let _ = writeln!(out, "  backend:     {}", eq(&ma.backend, &mb.backend));
-            if ma.backend != mb.backend {
-                let _ = writeln!(
-                    out,
-                    "  WARNING: runs used different execution backends; cycle counts are \
-                     bit-identical across backends but wall-clock and run-latency figures \
-                     are not comparable"
-                );
-            }
-        }
         let _ = writeln!(out, "  config hash: {}", eq(&ma.config_hash, &mb.config_hash));
         let _ = writeln!(
             out,
@@ -318,27 +307,6 @@ mod tests {
         assert_eq!(r1.text, r2.text, "output must be byte-identical");
         assert!(r1.text.contains("no regressions"));
         assert!(r1.text.contains("counters (0 changed)"));
-    }
-
-    #[test]
-    fn backend_mismatch_warns_but_is_not_a_regression() {
-        let s = base();
-        let ma = RunManifest { bench: "ep".into(), backend: "fast".into(), ..Default::default() };
-        let mb =
-            RunManifest { bench: "ep".into(), backend: "compiled".into(), ..Default::default() };
-        let r = compare(&s, &s, "x", "y", Some(&ma), Some(&mb), &CompareOptions::default());
-        assert!(r.text.contains("backend:     fast -> compiled"), "{}", r.text);
-        assert!(r.text.contains("WARNING: runs used different execution backends"), "{}", r.text);
-        // The warning is informational: it must not flip exit status.
-        assert!(r.regressions.is_empty(), "{:?}", r.regressions);
-
-        // Same backend (or legacy manifests without one) stays quiet.
-        let r = compare(&s, &s, "x", "y", Some(&mb), Some(&mb), &CompareOptions::default());
-        assert!(r.text.contains("backend:     same"), "{}", r.text);
-        assert!(!r.text.contains("WARNING"), "{}", r.text);
-        let legacy = RunManifest { bench: "ep".into(), ..Default::default() };
-        let r = compare(&s, &s, "x", "y", Some(&legacy), Some(&legacy), &CompareOptions::default());
-        assert!(!r.text.contains("backend:"), "{}", r.text);
     }
 
     #[test]

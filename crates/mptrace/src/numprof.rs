@@ -1,8 +1,8 @@
 //! Per-instruction numerical-health profiling via the const-gated
-//! [`NumObserver`] hook.
+//! `NUM_HEALTH` hooks of [`Observer`].
 //!
 //! [`NumProfiler`] classifies every scalar FP result and reduced-format
-//! quantize a run produces ([`fpvm::Vm::run_image_numhealth`]) into the
+//! quantize a run produces ([`fpvm::Vm::run_image_with`]) into the
 //! events that make a mixed-precision result trustworthy — or not:
 //! NaN produced, Inf produced, underflow to zero, subnormal results,
 //! and per-format quantize saturation/flush. Because the hook is gated
@@ -11,13 +11,13 @@
 //! `tests/numhealth_differential.rs`.
 //!
 //! [`NumProfiler::fold_into`] turns the accumulators into the `fp.*`
-//! counter family of a [`Tracer`](crate::Tracer): totals (`fp.nan`,
+//! counter family of a [`Tracer`]: totals (`fp.nan`,
 //! `fp.sat.bf16`, …) plus per-instruction series (`fp.nan.i12`,
 //! `fp.sat.bf16.i12`, …) that the Prometheus sink renders with real
 //! `insn`/`format` labels.
 
 use crate::Tracer;
-use fpvm::exec::NumObserver;
+use fpvm::exec::Observer;
 use fpvm::InsnId;
 use mpfmt::Format;
 use std::collections::BTreeMap;
@@ -217,8 +217,8 @@ impl NumProfiler {
     }
 }
 
-impl NumObserver for NumProfiler {
-    const ENABLED: bool = true;
+impl Observer for NumProfiler {
+    const NUM_HEALTH: bool = true;
 
     #[inline(always)]
     fn fp_result_f64(&mut self, insn: InsnId, a: f64, b: f64, r: f64) {

@@ -1,14 +1,15 @@
-//! Per-instruction interpreter profiling via the const-gated
-//! [`StepObserver`] hook.
+//! Per-instruction interpreter profiling via the const-gated step hook
+//! of [`Observer`].
 //!
 //! [`InsnProfiler`] attributes model cycles and dispatch counts to
-//! [`InsnId`]s while a program runs on the pre-decoded fast path
-//! ([`fpvm::Vm::run_image_profiled`]). Because the hook is gated on an
+//! [`InsnId`]s while a program runs on the threaded tier
+//! ([`fpvm::Vm::run_compiled_with`]) or the pre-decoded fast path
+//! ([`fpvm::Vm::run_image_with`]). Because the hook is gated on an
 //! associated `const`, the unprofiled loop monomorphizes without any
 //! trace of it — zero cost when disabled, enforced bit-identical by
 //! `tests/trace_differential.rs`.
 
-use fpvm::exec::StepObserver;
+use fpvm::exec::Observer;
 use fpvm::InsnId;
 
 /// One instruction's accumulators, kept together so the per-dispatch
@@ -104,8 +105,8 @@ impl InsnProfiler {
     }
 }
 
-impl StepObserver for InsnProfiler {
-    const ENABLED: bool = true;
+impl Observer for InsnProfiler {
+    const STEPS: bool = true;
 
     #[inline(always)]
     fn step(&mut self, insn: InsnId, cost: u64) {

@@ -50,12 +50,6 @@ pub struct RunManifest {
     pub bench: String,
     /// Workload class (e.g. `"s"`).
     pub class: String,
-    /// Execution backend the run used (`interp`/`fast`/`compiled`;
-    /// empty in manifests from before backends existed). `craft
-    /// compare` warns when two runs differ here: their cycle counts are
-    /// identical by construction, but wall-clock figures are not
-    /// comparable across backends.
-    pub backend: String,
     /// Precision lattice the search descended, as comma-joined flag
     /// tokens (e.g. `"s,h,b"`). Empty means the classic two-level
     /// double/single search — both in new classic runs and in manifests
@@ -100,8 +94,6 @@ impl RunManifest {
         esc(&mut s, &self.bench);
         s.push_str(",\"class\":");
         esc(&mut s, &self.class);
-        s.push_str(",\"backend\":");
-        esc(&mut s, &self.backend);
         s.push_str(",\"lattice\":");
         esc(&mut s, &self.lattice);
         s.push_str(",\"trace_id\":");
@@ -198,8 +190,6 @@ impl RunManifest {
             id: st("id")?,
             bench: st("bench")?,
             class: st("class")?,
-            // Absent in manifests written before the compiled backend.
-            backend: st("backend").unwrap_or_default(),
             // Absent in manifests written before the precision lattice;
             // empty means the classic double/single search.
             lattice: st("lattice").unwrap_or_default(),
@@ -410,7 +400,6 @@ mod tests {
             id: id.into(),
             bench: bench.into(),
             class: "s".into(),
-            backend: "compiled".into(),
             lattice: "s,h,b".into(),
             trace_id: "tr-1700000000-1-0".into(),
             config_hash: fnv1a64("double main()"),
@@ -448,15 +437,14 @@ mod tests {
     }
 
     #[test]
-    fn legacy_manifest_without_backend_parses_with_empty_backend() {
+    fn legacy_manifest_with_backend_key_still_parses() {
         let m = manifest("ep-1700000000-1-0", "ep", true);
         let text = m.to_json();
-        // Simulate a manifest written before the compiled backend existed.
-        let legacy = text.replace(",\"backend\":\"compiled\"", "");
-        assert!(!legacy.contains("backend"));
-        let back = RunManifest::parse(&legacy).unwrap();
-        assert_eq!(back.backend, "");
-        assert_eq!(RunManifest { backend: String::new(), ..m }, back);
+        // Manifests written while the execution backend was a setting
+        // carry a "backend" key; it is ignored on read.
+        let legacy = text.replace(",\"class\":\"s\"", ",\"class\":\"s\",\"backend\":\"compiled\"");
+        assert!(legacy.contains("\"backend\":\"compiled\""));
+        assert_eq!(RunManifest::parse(&legacy).unwrap(), m);
     }
 
     #[test]

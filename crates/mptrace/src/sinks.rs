@@ -353,7 +353,7 @@ mod tests {
     fn prometheus_labeled_escapes_hostile_values_on_gauge_and_histogram_series() {
         // PR 5 only exercised escaping on counter-shaped series (hot
         // insns, spans); the daemon now attaches constant labels built
-        // from job specs (bench/backend/lattice) to gauge and histogram
+        // from job specs (bench/lattice) to gauge and histogram
         // series too, and those values can carry quotes, backslashes,
         // and newlines.
         let mut snap = TraceSnapshot::default();

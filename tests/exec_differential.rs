@@ -73,7 +73,7 @@ fn assert_engines_agree(p: &Program, opts: &VmOptions) {
     let mut comp_vm = Vm::new(p, opts.clone());
     let comp_out = comp_vm.run_compiled(&cimg);
     let mut thr_vm = Vm::new(p, opts.clone());
-    let thr_out = thr_vm.run_compiled_threaded(&cimg);
+    let thr_out = thr_vm.run_compiled_with(&cimg, &mut ());
 
     let engines = [
         ("fast", &fast_vm, &fast_out),

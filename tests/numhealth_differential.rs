@@ -1,23 +1,23 @@
-//! Differential property tests for the numerical-health observer
-//! (`fpvm::exec::NumObserver`).
+//! Differential property tests for the numerical-health hooks of
+//! `fpvm::exec::Observer` (`NUM_HEALTH`).
 //!
 //! Two claims are proven here:
 //!
 //! - *arming changes nothing*: a run with a live observer attached
-//!   (`Vm::run_image_numhealth` + `mptrace::NumProfiler`) is
+//!   (`Vm::run_image_with` + `mptrace::NumProfiler`) is
 //!   bit-identical — result, trap, stats, registers, memory, profile —
-//!   to the unarmed run on **every** backend (reference interpreter,
+//!   to the unarmed run on **every** engine (reference interpreter,
 //!   fast image, compiled fused, compiled threaded). This is what makes
-//!   the "armed runs take the observed fast path" fallback in
-//!   `mixedprec` sound: whichever backend the unarmed run would have
-//!   used, the armed one reproduces its outcome exactly;
+//!   the "value hooks run on the fast path" rule in `fpvm::compiled`
+//!   sound: whichever tier the unarmed run would have used, the armed
+//!   one reproduces its outcome exactly;
 //! - *the hooks actually fire*: on programs built to misbehave, the
 //!   profiler records the expected NaN/saturation/flush events, so the
 //!   zero-cost gate cannot silently compile the instrumentation out of
 //!   the armed path too.
 //!
-//! The unarmed-hook-monomorphizes-away half of the contract (the
-//! `NoopNumObserver` gate) is covered by `run_image` itself being the
+//! The unarmed-hook-monomorphizes-away half of the contract (the `()`
+//! observer) is covered by `run_image` itself being the
 //! reference point here, plus the `{ep,cg}.orig.numhealth` rows of
 //! `benches/interp_throughput.rs` staying within noise of the plain
 //! rows.
@@ -83,7 +83,7 @@ fn assert_armed_is_bit_identical(p: &Program, opts: &VmOptions) -> NumProfiler {
 
     let mut prof = NumProfiler::new(p.insn_id_bound());
     let mut armed_vm = Vm::new(p, opts.clone());
-    let armed_out = armed_vm.run_image_numhealth(&image, &mut prof);
+    let armed_out = armed_vm.run_image_with(&image, &mut prof);
 
     let mut ref_vm = Vm::new(p, opts.clone());
     let ref_out = ref_vm.run();
@@ -92,7 +92,7 @@ fn assert_armed_is_bit_identical(p: &Program, opts: &VmOptions) -> NumProfiler {
     let mut comp_vm = Vm::new(p, opts.clone());
     let comp_out = comp_vm.run_compiled(&cimg);
     let mut thr_vm = Vm::new(p, opts.clone());
-    let thr_out = thr_vm.run_compiled_threaded(&cimg);
+    let thr_out = thr_vm.run_compiled_with(&cimg, &mut ());
 
     let engines = [
         ("interp", &ref_vm, &ref_out),

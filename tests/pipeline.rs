@@ -110,16 +110,17 @@ fn overhead_report_is_sane_across_workloads() {
 /// double/single/bf16 configuration that meets the tolerance (the
 /// second composition phase backs out the failing pieces), with at
 /// least one instruction demoted below single precision — and the
-/// whole outcome is identical across the `fast` and `compiled`
-/// backends. EP's default 1e-6 tolerance is too tight for any bf16
+/// whole outcome is identical traced and untraced. Untraced searches run
+/// the compiled backend's fused tier; traced ones run its threaded tier
+/// with the step profiler attached. EP's default 1e-6 tolerance is too tight for any bf16
 /// survivor on the tiny class-S sample, so this runs at the slightly
 /// looser 1.5e-6 a user would pass with `--tol`.
 #[test]
-fn ep_lattice_search_demotes_below_single_identically_on_both_backends() {
-    let run = |backend: fpvm::Backend| {
+fn ep_lattice_search_demotes_below_single_identically_traced_and_untraced() {
+    let run = |traced: bool| {
         let mut w = nas::ep(Class::S);
         w.tol = 1.5e-6;
-        let sys = AnalysisSystem::with_options(
+        let mut sys = AnalysisSystem::with_options(
             w,
             AnalysisOptions {
                 search: SearchOptions {
@@ -128,14 +129,16 @@ fn ep_lattice_search_demotes_below_single_identically_on_both_backends() {
                     lattice: vec![Flag::Single, Flag::Bf16],
                     ..Default::default()
                 },
-                backend,
                 ..Default::default()
             },
         );
+        if traced {
+            sys.set_tracer(mptrace::Tracer::new());
+        }
         let rec = sys.recommend();
         (rec.report.format_breakdown(sys.tree()), rec)
     };
-    let (breakdown, rec) = run(fpvm::Backend::Fast);
+    let (breakdown, rec) = run(false);
 
     // The composed configuration meets the tolerance...
     assert!(rec.report.final_pass, "lattice recommendation does not verify");
@@ -149,8 +152,8 @@ fn ep_lattice_search_demotes_below_single_identically_on_both_backends() {
     assert!(count("s") >= 1, "no instruction at single: {breakdown:?}");
     assert!(count("b") >= 1, "no instruction demoted below single: {breakdown:?}");
 
-    // The search outcome must not depend on the execution backend.
-    let (breakdown2, rec2) = run(fpvm::Backend::Compiled);
+    // The search outcome must not depend on the tier tracing selects.
+    let (breakdown2, rec2) = run(true);
     assert_eq!(breakdown, breakdown2);
     assert_eq!(rec.report.candidates, rec2.report.candidates);
     assert_eq!(rec.report.configs_tested, rec2.report.configs_tested);

@@ -64,7 +64,7 @@ fn assert_shadow_is_invisible(p: &Program, opts: &VmOptions) {
 
     let mut engine = ShadowEngine::new(p.insn_id_bound());
     let mut obs_vm = Vm::new(p, opts.clone());
-    let obs_out = obs_vm.run_image_observed(&image, &mut engine);
+    let obs_out = obs_vm.run_image_with(&image, &mut engine);
 
     assert_eq!(plain_out.result, obs_out.result, "result/trap diverges");
     assert_eq!(plain_out.stats.steps, obs_out.stats.steps, "steps diverge");

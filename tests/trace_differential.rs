@@ -1,6 +1,6 @@
 //! Differential property test for the interpreter's const-gated step
 //! hook: attaching an [`mptrace::profiler::InsnProfiler`] via
-//! `run_image_profiled` must leave the primary execution bit-identical —
+//! `run_image_with` must leave the primary execution bit-identical —
 //! same result (including the exact trap), same statistics, same
 //! registers, same memory — on random programs, and the profiler's
 //! cycle/hit attribution must reconcile exactly with the run's
@@ -8,14 +8,16 @@
 //! overhead contract: the profiled loop only *reads* state the
 //! interpreter already computed, and the unprofiled loop (exercised by
 //! every other test in the suite via `run_image`) monomorphizes the
-//! hook away entirely.
+//! hook away entirely. The compiled backend's threaded tier, which
+//! traced searches run (`run_compiled_with`), must attribute exactly the
+//! same per-instruction profile.
 
 use fpir::{
     f, fabs, fadd, fdiv, fmax, fmin, fmul, for_, fsqrt, fsub, i, irem, itof, ld, set, st, v,
     CompileOptions, IrProgram,
 };
 use fpvm::exec::ExecImage;
-use fpvm::{InsnId, Program, StepObserver, Vm, VmOptions};
+use fpvm::{CompiledImage, InsnId, Observer, Program, Vm, VmOptions};
 use mptrace::profiler::InsnProfiler;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -32,8 +34,8 @@ struct CountAll {
     bound: u32,
 }
 
-impl StepObserver for CountAll {
-    const ENABLED: bool = true;
+impl Observer for CountAll {
+    const STEPS: bool = true;
     fn step(&mut self, insn: InsnId, cost: u64) {
         self.steps += 1;
         self.cycles += cost;
@@ -94,7 +96,7 @@ fn assert_profiler_is_invisible(p: &Program, opts: &VmOptions) {
 
     let mut prof = InsnProfiler::new(p.insn_id_bound());
     let mut prof_vm = Vm::new(p, opts.clone());
-    let prof_out = prof_vm.run_image_profiled(&image, &mut prof);
+    let prof_out = prof_vm.run_image_with(&image, &mut prof);
 
     assert_eq!(plain_out.result, prof_out.result, "result/trap diverges");
     assert_eq!(plain_out.stats.steps, prof_out.stats.steps, "steps diverge");
@@ -115,7 +117,7 @@ fn assert_profiler_is_invisible(p: &Program, opts: &VmOptions) {
     // match the in-range portion of the dispatch stream.
     let mut all = CountAll { bound: p.insn_id_bound() as u32, ..CountAll::default() };
     let mut count_vm = Vm::new(p, opts.clone());
-    let count_out = count_vm.run_image_profiled(&image, &mut all);
+    let count_out = count_vm.run_image_with(&image, &mut all);
     assert_eq!(count_out.result, plain_out.result);
     assert_eq!(all.steps, count_out.stats.steps, "hook must fire once per retired step");
     assert_eq!(all.cycles, count_out.stats.cycles, "hook must see every modelled cycle");
@@ -125,6 +127,13 @@ fn assert_profiler_is_invisible(p: &Program, opts: &VmOptions) {
     for (id, s) in prof.iter() {
         assert!(s.hits > 0, "insn {id}: cycles attributed without a hit");
     }
+
+    let mut thr_prof = InsnProfiler::new(p.insn_id_bound());
+    let mut thr_vm = Vm::new(p, opts.clone());
+    let thr_out = thr_vm.run_compiled_with(&CompiledImage::from_image(&image), &mut thr_prof);
+    assert_eq!(thr_out.result, plain_out.result, "threaded: result/trap diverges");
+    assert_eq!(thr_out.stats.steps, plain_out.stats.steps, "threaded: steps diverge");
+    assert!(thr_prof.iter().eq(prof.iter()), "threaded tier attributes a different profile");
 }
 
 proptest! {
