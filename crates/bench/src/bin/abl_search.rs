@@ -7,20 +7,11 @@ use craft_bench::header;
 use fpvm::{Vm, VmOptions};
 use instrument::RewriteOptions;
 use mpconfig::{Config, Flag, StructureTree};
-use mpsearch::events::EventLog;
-use mpsearch::{search_observed, SearchHooks, SearchOptions, VmEvaluator};
+use mpsearch::{search, SearchOptions, VmEvaluator};
 use workloads::{nas_all, Class};
 
 fn main() {
     let threads = SearchOptions::default_threads();
-    let events = std::env::args().skip(1).find_map(|a| {
-        a.strip_prefix("--events=").map(|path| {
-            EventLog::to_file(path).unwrap_or_else(|e| {
-                eprintln!("cannot create event log {path}: {e}");
-                std::process::exit(2);
-            })
-        })
-    });
     println!("Search-optimization ablation (configurations tested, class W)\n");
     let h = format!(
         "{:<8} {:>10} {:>10} {:>12} {:>10} {:>9}",
@@ -50,18 +41,12 @@ fn main() {
                 RewriteOptions::default(),
                 w.verifier(),
             );
-            let hooks = SearchHooks {
-                bench: format!("{}.abl[split={binary_split},prio={prioritize}]", w.name),
-                events: events.as_ref(),
-                ..Default::default()
-            };
-            search_observed(
+            search(
                 &tree,
                 &base,
                 Some(&profile),
                 &eval,
                 &SearchOptions { binary_split, prioritize, threads, ..Default::default() },
-                &hooks,
             )
         };
         let both = run(true, true);

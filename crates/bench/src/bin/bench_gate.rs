@@ -42,7 +42,7 @@
 //! checked-in file. `--record` writes the fresh measurements back as a
 //! new registry manifest for future runs to gate against.
 
-use mpsearch::events::json::{self, Value};
+use mptrace::json::{self, Value};
 use mptrace::registry::{self, Registry, RunManifest};
 use std::collections::BTreeMap;
 

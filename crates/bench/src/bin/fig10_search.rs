@@ -11,8 +11,6 @@
 //!   the classic double/single search: each level is tried in order and
 //!   instructions settle at the narrowest format that still verifies.
 //!   Rows gain a trailing per-format breakdown column;
-//! * `--events=FILE` — append a JSONL event log of every search (one
-//!   `search_started` record per benchmark separates the runs);
 //! * `--inject-panic=IDX[,IDX…]` / `--inject-timeout=IDX[,IDX…]` —
 //!   deterministically inject a worker panic / a simulated timeout at
 //!   those evaluation indices of *each* search. The executor classifies
@@ -21,7 +19,6 @@
 
 use craft_bench::header;
 use mixedprec::{AnalysisOptions, AnalysisSystem};
-use mpsearch::events::EventLog;
 use mpsearch::{FaultPlan, SearchHooks, SearchOptions, SearchReport};
 use workloads::{nas_all, Class};
 
@@ -53,12 +50,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let events = opt("--events").map(|path| {
-        EventLog::to_file(&path).unwrap_or_else(|e| {
-            eprintln!("cannot create event log {path}: {e}");
-            std::process::exit(2);
-        })
-    });
     let faults = FaultPlan {
         panic_at: opt("--inject-panic").map(|s| parse_indices(&s)).unwrap_or_default(),
         timeout_at: opt("--inject-timeout").map(|s| parse_indices(&s)).unwrap_or_default(),
@@ -93,13 +84,8 @@ fn main() {
                     ..Default::default()
                 },
             );
-            let hooks = SearchHooks {
-                bench: label.clone(),
-                faults: faults.clone(),
-                events: events.as_ref(),
-                ..Default::default()
-            };
-            let report = sys.run_search_with(&hooks);
+            let report =
+                sys.run_search_with(&SearchHooks { faults: faults.clone(), ..Default::default() });
             if lattice.is_some() {
                 let formats: Vec<String> = report
                     .format_breakdown(sys.tree())

@@ -108,7 +108,7 @@ fn hinted_row(wb: Workload, ws: Workload, threads: usize, profile_dir: Option<&s
         wb,
         AnalysisOptions { search: search.clone(), ..Default::default() },
     );
-    let rb = sys_b.run_search_with(&SearchHooks { bench: label.clone(), ..Default::default() });
+    let rb = sys_b.run_search();
     let sys_s = AnalysisSystem::with_options(
         ws,
         AnalysisOptions {
@@ -117,7 +117,7 @@ fn hinted_row(wb: Workload, ws: Workload, threads: usize, profile_dir: Option<&s
             ..Default::default()
         },
     );
-    let rs = sys_s.run_search_with(&SearchHooks { bench: label.clone(), ..Default::default() });
+    let rs = sys_s.run_search();
     if let Some(dir) = profile_dir {
         let path = format!("{dir}/{label}.shadow.jsonl");
         if let Err(e) = sys_s.shadow_profile().to_file(&path) {

@@ -8,7 +8,7 @@
 //! craft overhead <bench> [class]     # all-double instrumentation cost
 //! craft tree <bench> [class]         # structure tree (Fig. 4 view)
 //! craft config <bench> [class]       # initial config file (Fig. 3)
-//! craft report <events.jsonl|run-dir>  # digest a search event log / run directory
+//! craft report <run-dir>              # digest a run directory
 //! craft metrics <trace.jsonl>          # render a trace snapshot (Prometheus/folded)
 //! craft runs                           # list registry-recorded runs
 //! craft explain <run-dir|latest>       # decision provenance + numerical health
@@ -42,15 +42,17 @@
 //! guidance), `--num-health` (replay the final configuration
 //! under the numerical-health observer and fold `fp.*` counters into
 //! the trace — requires `--trace`; `craft explain` renders the hot
-//! lists), `--events=FILE` (JSONL event log), `--trace=DIR` (run
-//! directory collecting `events.jsonl` + `trace.jsonl` + `live.jsonl` +
-//! `decisions.jsonl` + `manifest.json`), `--registry=DIR` (record the run in a registry;
-//! defaults to `$CRAFT_REGISTRY` or `~/.craft/runs`), and the
-//! fault-injection drills `--inject-panic=IDX[,IDX…]` /
-//! `--inject-timeout=IDX[,IDX…]`.
+//! lists), `--trace=DIR` (run directory collecting `trace.jsonl` +
+//! `live.jsonl` + `decisions.jsonl` + `manifest.json`),
+//! `--registry=DIR` (record the run in a registry; defaults to
+//! `$CRAFT_REGISTRY` or `~/.craft/runs`), and the fault-injection
+//! drills `--inject-panic=IDX[,IDX…]` / `--inject-timeout=IDX[,IDX…]`.
+//!
+//! Every subcommand rejects a flag it does not read, and a value option
+//! given without `=` (`--lattice s,b`), before doing any work.
 //!
 //! Exit codes are uniform across subcommands: `2` for usage/argument
-//! errors (unknown benchmark, missing operand), `1` for runtime errors
+//! errors (unknown benchmark or flag, missing operand), `1` for runtime errors
 //! (unreadable file, malformed log) *and* for `compare` when a
 //! regression crosses its threshold (suppress with `--warn-only`),
 //! `0` otherwise.
@@ -58,7 +60,6 @@
 use mixedprec::{http, AnalysisOptions, AnalysisSystem, JobSpec, ShadowOptions, StopDepth};
 use mpconfig::editor::render_tree;
 use mpconfig::print_config;
-use mpsearch::events::{Event, EventLog, Record};
 use mpsearch::{FaultPlan, SearchHooks, SearchOptions, SearchReport, Verdict};
 use mptrace::compare::{compare, CompareOptions};
 use mptrace::json::{self, Value};
@@ -93,100 +94,86 @@ fn parse_class(s: Option<&str>) -> Class {
     jobspec::parse_class(s.unwrap_or("w")).unwrap_or_else(|e| usage(&e))
 }
 
-fn parse_indices(spec: &str) -> Vec<u64> {
-    spec.split(',').filter_map(|t| t.trim().parse().ok()).collect()
+/// Flags the search-building subcommands all read; value options end
+/// in `=`.
+const SEARCH_FLAGS: &[&str] = &[
+    "--threads=",
+    "--stop-depth=",
+    "--lattice=",
+    "--no-split",
+    "--no-priority",
+    "--second-phase",
+    "--lean",
+    "--shadow-priority",
+    "--shadow-prune",
+    "--num-health",
+];
+
+/// The flags `cmd` reads (value options end in `=`), or `None` for the
+/// usage screen, which reads none.
+fn flags_of(cmd: &str) -> Option<Vec<&'static str>> {
+    let own: &[&str] = match cmd {
+        "list" | "overhead" | "tree" | "config" => &[],
+        "report" => &["--top="],
+        "metrics" => &["--prom=", "--folded="],
+        "analyze" => &["--trace=", "--registry=", "--inject-panic=", "--inject-timeout="],
+        "shadow" => &["--top=", "--out="],
+        "submit" => &[
+            "--daemon=",
+            "--follow",
+            "--tol=",
+            "--max-tests=",
+            "--fuel-limit=",
+            "--wall-limit-ms=",
+            "--batch=",
+        ],
+        "status" | "jobs" => &["--daemon="],
+        "top" => &["--daemon=", "--data=", "--once", "--interval-ms="],
+        "runs" => &["--registry=", "--bench="],
+        "explain" => &["--registry=", "--insn=", "--func=", "--top="],
+        "watch" => &["--registry=", "--top=", "--follow"],
+        "compare" => &[
+            "--registry=",
+            "--warn-only",
+            "--top=",
+            "--counter-pct=",
+            "--cycles-pct=",
+            "--quantile-pct=",
+            "--min-cycles=",
+        ],
+        _ => return None,
+    };
+    let search = matches!(cmd, "analyze" | "shadow" | "overhead" | "tree" | "config" | "submit");
+    Some([own, if search { SEARCH_FLAGS } else { &[] }].concat())
 }
 
-/// Digest a JSONL search event log: per-phase timing, a verdict
-/// histogram over evaluation attempts, robustness counters, and the
-/// top-k most expensive evaluations. Returns an error (instead of
-/// exiting) so run-directory reports can degrade gracefully.
-fn render_report(path: &str, top: usize) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut records = Vec::new();
-    let mut malformed = 0usize;
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        match Record::parse(line) {
-            Ok(r) => records.push(r),
-            Err(_) => malformed += 1,
+/// Reject, with exit 2, any `--flag` that `cmd` does not read, a value
+/// option given without `=VALUE`, and a switch given one.
+fn check_flags(cmd: &str, args: &[String]) {
+    let Some(known) = flags_of(cmd) else { return };
+    for a in args.iter().filter(|a| a.starts_with("--")) {
+        let (name, has_value) = match a.split_once('=') {
+            Some((name, _)) => (name, true),
+            None => (a.as_str(), false),
+        };
+        let takes_value = known.iter().any(|k| k.strip_suffix('=') == Some(name));
+        let switch = known.contains(&name);
+        if (has_value && takes_value) || (!has_value && switch) {
+            continue;
         }
+        let why = if takes_value {
+            format!("`{name}` needs a value (`{name}=…`)")
+        } else if switch {
+            format!("`{name}` takes no value")
+        } else {
+            format!("unknown flag `{name}`")
+        };
+        usage(&format!("{why} for `craft {cmd}`"));
     }
-    if records.is_empty() {
-        return Err(format!(
-            "{path}: no parseable events{}",
-            if malformed > 0 { " (all malformed)" } else { "" }
-        ));
-    }
-    let span_us = records.last().map(|r| r.t_us).unwrap_or(0);
-    println!("event log   : {path}");
-    println!(
-        "events      : {}{}   span: {:.1} ms",
-        records.len(),
-        if malformed > 0 { format!(" (+{malformed} malformed)") } else { String::new() },
-        span_us as f64 / 1e3
-    );
+}
 
-    let searches: Vec<&Record> =
-        records.iter().filter(|r| matches!(r.event, Event::SearchStarted { .. })).collect();
-    for r in &searches {
-        if let Event::SearchStarted { bench, candidates, threads } = &r.event {
-            println!(
-                "search      : {}  ({candidates} candidates, {threads} threads)",
-                if bench.is_empty() { "<unnamed>" } else { bench }
-            );
-        }
-    }
-
-    println!("\nphase timing:");
-    for r in &records {
-        if let Event::PhaseFinished { phase, wall_us } = &r.event {
-            println!("  {:<14} {:>10.1} ms", phase, *wall_us as f64 / 1e3);
-        }
-    }
-
-    let mut verdicts: HashMap<Verdict, usize> = HashMap::new();
-    let mut evals: Vec<(u64, u64, Verdict, String, bool)> = Vec::new();
-    let mut cache_hits = 0usize;
-    let mut retries = 0usize;
-    let mut quarantines = 0usize;
-    let mut max_depth = 0usize;
-    for r in &records {
-        match &r.event {
-            Event::EvalFinished { idx, label, verdict, wall_us, cache_hit, .. } => {
-                *verdicts.entry(*verdict).or_default() += 1;
-                cache_hits += *cache_hit as usize;
-                evals.push((*wall_us, *idx, *verdict, label.clone(), *cache_hit));
-            }
-            Event::Retry { .. } => retries += 1,
-            Event::Quarantined { .. } => quarantines += 1,
-            Event::QueueDepth { depth, .. } => max_depth = max_depth.max(*depth),
-            _ => {}
-        }
-    }
-    println!("\nverdicts ({} evaluation attempts):", evals.len());
-    for v in Verdict::ALL {
-        let n = verdicts.get(&v).copied().unwrap_or(0);
-        if n > 0 || matches!(v, Verdict::Pass | Verdict::Fail) {
-            println!("  {:<12} {n:>6}", v.as_str());
-        }
-    }
-    println!(
-        "\nretries: {retries}   quarantines: {quarantines}   cache hits: {cache_hits}   \
-         max queue depth: {max_depth}"
-    );
-
-    evals.sort_by_key(|e| std::cmp::Reverse(e.0));
-    println!("\ntop {} most expensive evaluations:", top.min(evals.len()));
-    println!("  {:>10}  {:>5}  {:<11}  label", "wall", "idx", "verdict");
-    for (wall_us, idx, verdict, label, cache_hit) in evals.iter().take(top) {
-        println!(
-            "  {:>8.1}ms  {idx:>5}  {:<11}  {label}{}",
-            *wall_us as f64 / 1e3,
-            verdict.as_str(),
-            if *cache_hit { " (cached)" } else { "" }
-        );
-    }
-    Ok(())
+fn parse_indices(spec: &str) -> Vec<u64> {
+    spec.split(',').filter_map(|t| t.trim().parse().ok()).collect()
 }
 
 /// Read and parse a `trace.jsonl` snapshot, exiting 1 on failure. A
@@ -207,8 +194,8 @@ fn try_load_snapshot(path: &str) -> Result<TraceSnapshot, String> {
 }
 
 /// Render a trace snapshot: per-phase timeline (spans aggregated by
-/// name, ordered by first start) and the top-k hottest instructions by
-/// attributed interpreter cycles.
+/// name, ordered by first start), the executor's verdict counts, and
+/// the top-k hottest instructions by attributed interpreter cycles.
 fn render_trace_report(path: &str, snap: &TraceSnapshot, top: usize) {
     println!("trace       : {path}");
     if !snap.spans.is_empty() {
@@ -245,6 +232,27 @@ fn render_trace_report(path: &str, snap: &TraceSnapshot, top: usize) {
             );
         }
     }
+    let counter = |k: &str| snap.counters.get(k).copied().unwrap_or(0);
+    if snap.counters.keys().any(|k| k.starts_with("exec.verdict.")) {
+        let verdict = |v: Verdict| counter(&format!("exec.verdict.{}", v.as_str()));
+        // A quarantined configuration is skipped, not attempted.
+        let attempts: u64 =
+            Verdict::ALL.into_iter().filter(|&v| v != Verdict::Quarantined).map(verdict).sum();
+        println!("\nverdicts ({attempts} evaluation attempts):");
+        for v in Verdict::ALL {
+            let n = verdict(v);
+            if n > 0 || matches!(v, Verdict::Pass | Verdict::Fail) {
+                println!("  {:<12} {n:>6}", v.as_str());
+            }
+        }
+        let max_depth = snap.gauges.get("search.queue_depth").map_or(0.0, |g| g.max);
+        println!(
+            "\nretries: {}   quarantines: {}   cache hits: {}   max queue depth: {max_depth}",
+            counter("exec.retries"),
+            verdict(Verdict::Quarantined),
+            counter("exec.cache_hits"),
+        );
+    }
     if !snap.hot.is_empty() {
         let mut hot: Vec<_> = snap.hot.iter().collect();
         hot.sort_by_key(|h| std::cmp::Reverse(h.cycles));
@@ -262,8 +270,7 @@ fn render_trace_report(path: &str, snap: &TraceSnapshot, top: usize) {
             );
         }
     }
-    let interesting =
-        ["exec.cache_hits", "exec.retries", "search.enqueued", "search.shadow_pruned"];
+    let interesting = ["search.enqueued", "search.shadow_pruned"];
     let lines: Vec<String> = interesting
         .iter()
         .filter_map(|k| snap.counters.get(*k).map(|v| format!("{k}={v}")))
@@ -913,122 +920,104 @@ fn main() {
     };
 
     let cmd = positional.first().copied().unwrap_or("help");
+    check_flags(cmd, &args);
     match cmd {
         "list" => {
             println!("benchmarks: {}", BENCHES.join(", "));
             println!("classes:    s (sample), w (workstation), a, c");
         }
         "report" => {
-            let path = positional
-                .get(1)
-                .copied()
-                .unwrap_or_else(|| usage("usage: craft report <events.jsonl|run-dir> [--top=N]"));
+            const REPORT_USAGE: &str = "usage: craft report <run-dir> [--top=N]";
+            let path = positional.get(1).copied().unwrap_or_else(|| usage(REPORT_USAGE));
             let top = opt("--top").and_then(|t| t.parse().ok()).unwrap_or(5);
-            if Path::new(path).is_dir() {
-                // A run directory as written by `craft analyze --trace=DIR`:
-                // digest whatever artifacts it holds and note the rest, so a
-                // partial (crashed, rsynced, pruned) directory still reports.
-                let dir = Path::new(path);
-                let mut reported = false;
-                let mut absent: Vec<&str> = Vec::new();
-                match load_run_manifest(dir) {
-                    Some(m) => {
+            let dir = Path::new(path);
+            if !dir.is_dir() {
+                usage(&format!("{path} is not a run directory; {REPORT_USAGE}"));
+            }
+            // A run directory as written by `craft analyze --trace=DIR`:
+            // digest whatever artifacts it holds and note the rest, so a
+            // partial (crashed, rsynced, pruned) directory still reports.
+            let mut reported = false;
+            let mut absent: Vec<&str> = Vec::new();
+            match load_run_manifest(dir) {
+                Some(m) => {
+                    println!(
+                        "run         : {} ({}.{}, tol {:e}, {} threads{})",
+                        m.id,
+                        m.bench,
+                        m.class,
+                        m.tol,
+                        m.threads,
+                        if m.git.is_empty() { String::new() } else { format!(", git {}", m.git) }
+                    );
+                    println!("wall time   : {:.2}s", m.wall_us as f64 / 1e6);
+                    if let Some(s) = &m.summary {
                         println!(
-                            "run         : {} ({}.{}, tol {:e}, {} threads{})",
-                            m.id,
-                            m.bench,
-                            m.class,
-                            m.tol,
-                            m.threads,
-                            if m.git.is_empty() {
-                                String::new()
-                            } else {
-                                format!(", git {}", m.git)
-                            }
+                            "summary     : {} tested / {} candidates, static {:.1}%, \
+                             dynamic {:.1}%, final {}",
+                            s.tested,
+                            s.candidates,
+                            s.static_pct,
+                            s.dynamic_pct,
+                            if s.final_pass { "pass" } else { "fail" }
                         );
-                        println!("wall time   : {:.2}s", m.wall_us as f64 / 1e6);
-                        if let Some(s) = &m.summary {
-                            println!(
-                                "summary     : {} tested / {} candidates, static {:.1}%, \
-                                 dynamic {:.1}%, final {}",
-                                s.tested,
-                                s.candidates,
-                                s.static_pct,
-                                s.dynamic_pct,
-                                if s.final_pass { "pass" } else { "fail" }
-                            );
+                    }
+                    reported = true;
+                }
+                None => absent.push("manifest.json"),
+            }
+            let trace = dir.join("trace.jsonl");
+            let live = dir.join("live.jsonl");
+            if trace.is_file() {
+                match try_load_snapshot(&trace.display().to_string()) {
+                    Ok(snap) => {
+                        if reported {
+                            println!();
                         }
+                        render_trace_report(&trace.display().to_string(), &snap, top);
                         reported = true;
                     }
-                    None => absent.push("manifest.json"),
+                    Err(e) => eprintln!("craft: warning: {e}"),
                 }
-                let events = dir.join("events.jsonl");
-                if events.is_file() {
-                    if reported {
-                        println!();
-                    }
-                    match render_report(&events.display().to_string(), top) {
-                        Ok(()) => reported = true,
-                        Err(e) => eprintln!("craft: warning: {e}"),
-                    }
-                } else {
-                    absent.push("events.jsonl");
-                }
-                let trace = dir.join("trace.jsonl");
-                let live = dir.join("live.jsonl");
-                if trace.is_file() {
-                    match try_load_snapshot(&trace.display().to_string()) {
-                        Ok(snap) => {
+            } else {
+                absent.push("trace.jsonl");
+                // A run that crashed mid-search leaves only the live
+                // stream; fold it into a snapshot so something renders.
+                if live.is_file() {
+                    match LiveLog::from_file(&live) {
+                        Ok(log) => {
+                            if let Some(w) = &log.warning {
+                                eprintln!("craft: warning: {}: {w}", live.display());
+                            }
                             if reported {
                                 println!();
                             }
-                            render_trace_report(&trace.display().to_string(), &snap, top);
+                            println!(
+                                "(trace.jsonl absent; folded {} delta(s) from live.jsonl)",
+                                log.deltas.len()
+                            );
+                            render_trace_report(
+                                &live.display().to_string(),
+                                &log.final_snapshot(),
+                                top,
+                            );
                             reported = true;
                         }
                         Err(e) => eprintln!("craft: warning: {e}"),
                     }
-                } else {
-                    absent.push("trace.jsonl");
-                    // A run that crashed mid-search leaves only the live
-                    // stream; fold it into a snapshot so something renders.
-                    if live.is_file() {
-                        match LiveLog::from_file(&live) {
-                            Ok(log) => {
-                                if let Some(w) = &log.warning {
-                                    eprintln!("craft: warning: {}: {w}", live.display());
-                                }
-                                if reported {
-                                    println!();
-                                }
-                                println!(
-                                    "(trace.jsonl absent; folded {} delta(s) from live.jsonl)",
-                                    log.deltas.len()
-                                );
-                                render_trace_report(
-                                    &live.display().to_string(),
-                                    &log.final_snapshot(),
-                                    top,
-                                );
-                                reported = true;
-                            }
-                            Err(e) => eprintln!("craft: warning: {e}"),
-                        }
-                    }
                 }
-                if !live.is_file() {
-                    absent.push("live.jsonl");
-                }
-                if !absent.is_empty() {
-                    println!("\n(absent from run directory: {})", absent.join(", "));
-                }
-                if !reported {
-                    fail(format!(
-                        "{path}: nothing reportable (no readable manifest.json, events.jsonl, \
-                         trace.jsonl, or live.jsonl)"
-                    ));
-                }
-            } else {
-                render_report(path, top).unwrap_or_else(|e| fail(e));
+            }
+            if !live.is_file() {
+                absent.push("live.jsonl");
+            }
+            if !absent.is_empty() {
+                println!("\n(absent from run directory: {})", absent.join(", "));
+            }
+            if !reported {
+                fail(format!(
+                    "{path}: nothing reportable (no readable manifest.json, trace.jsonl, \
+                     or live.jsonl)"
+                ));
             }
         }
         "metrics" => {
@@ -1103,8 +1092,9 @@ fn main() {
             );
             match cmd {
                 "analyze" => {
-                    // --trace=DIR collects a full run directory: the JSONL
-                    // event log plus the span/metric/hot-spot snapshot.
+                    // --trace=DIR collects a full run directory: the
+                    // span/metric/hot-spot snapshot, the live stream, the
+                    // decision records and the manifest.
                     let trace_dir = opt("--trace");
                     let tracer = trace_dir.as_ref().map(|dir| {
                         std::fs::create_dir_all(dir)
@@ -1129,15 +1119,7 @@ fn main() {
                         }
                         _ => None,
                     };
-                    let events_path = opt("--events")
-                        .or_else(|| trace_dir.as_ref().map(|d| format!("{d}/events.jsonl")));
-                    let events = events_path.map(|path| {
-                        EventLog::to_file(&path).unwrap_or_else(|e| {
-                            fail(format!("cannot create event log {path}: {e}"))
-                        })
-                    });
                     let hooks = SearchHooks {
-                        bench: format!("{bench}.{class}"),
                         faults: FaultPlan {
                             panic_at: opt("--inject-panic")
                                 .map(|s| parse_indices(&s))
@@ -1147,7 +1129,6 @@ fn main() {
                                 .unwrap_or_default(),
                             ..Default::default()
                         },
-                        events: events.as_ref(),
                         shadow: None,
                         tracer: None,
                         stream: stream.as_ref(),
@@ -1647,14 +1628,14 @@ fn main() {
             println!("                 [--no-split] [--no-priority] [--lean] [--threads=N]");
             println!("                 [--lattice=s,h|s,b|...] [--shadow-priority]");
             println!("                 [--shadow-prune] [--num-health]");
-            println!("                 [--events=FILE] [--trace=DIR] [--registry=DIR]");
+            println!("                 [--trace=DIR] [--registry=DIR]");
             println!("                 [--inject-panic=IDX[,IDX..]]");
             println!("                 [--inject-timeout=IDX[,IDX..]]");
             println!("  craft shadow   <bench> [class] [--top=N] [--out=FILE]");
             println!("  craft overhead <bench> [class]");
             println!("  craft tree     <bench> [class]");
             println!("  craft config   <bench> [class]");
-            println!("  craft report   <events.jsonl|run-dir> [--top=N]");
+            println!("  craft report   <run-dir> [--top=N]");
             println!("  craft metrics  <trace.jsonl> [--prom=FILE] [--folded=FILE]");
             println!("  craft runs     [--registry=DIR] [--bench=NAME]");
             println!("  craft explain  <run-dir|latest> [--insn=ADDR] [--func=NAME] [--top=N]");

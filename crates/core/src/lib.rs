@@ -276,9 +276,9 @@ impl AnalysisSystem {
         self.run_search_with(&SearchHooks::default())
     }
 
-    /// [`AnalysisSystem::run_search`] with observability hooks: a JSONL
-    /// event sink and/or a deterministic fault plan for the evaluation
-    /// executor.
+    /// [`AnalysisSystem::run_search`] with observability hooks: a
+    /// tracer, a live stream and/or a deterministic fault plan for the
+    /// evaluation executor.
     pub fn run_search_with(&self, hooks: &SearchHooks<'_>) -> SearchReport {
         self.search_with_profile(hooks).0
     }
@@ -330,9 +330,7 @@ impl AnalysisSystem {
             self.shadow_profile()
         });
         let hooks = SearchHooks {
-            bench: hooks.bench.clone(),
             faults: hooks.faults.clone(),
-            events: hooks.events,
             stream: hooks.stream,
             pool: hooks.pool,
             tracer,

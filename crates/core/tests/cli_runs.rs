@@ -1,8 +1,10 @@
 //! End-to-end tests of the run-registry workflow through the real
 //! `craft` binary: a traced analysis must leave a complete run
-//! directory behind, `compare` must be deterministic and clean against
-//! itself, and an injected per-instruction cycle regression must be
-//! attributed to the right function and fail the gate.
+//! directory behind, `report` must render the executor's verdicts from
+//! it, `compare` must be deterministic and clean against itself, an
+//! injected per-instruction cycle regression must be attributed to the
+//! right function and fail the gate, and flags a subcommand does not
+//! read must be refused before any work is done.
 
 use mptrace::snapshot::TraceSnapshot;
 use mptrace::stream::LiveLog;
@@ -47,7 +49,7 @@ fn traced_run_streams_and_registers() {
     let root = scratch("cli-traced-run");
     let run = traced_run(&root);
 
-    for f in ["events.jsonl", "trace.jsonl", "live.jsonl", "manifest.json"] {
+    for f in ["decisions.jsonl", "trace.jsonl", "live.jsonl", "manifest.json"] {
         assert!(run.join(f).is_file(), "run directory missing {f}");
     }
 
@@ -93,18 +95,19 @@ fn report_degrades_gracefully_on_partial_run_dirs() {
     // Full directory reports everything.
     let full = craft(&["report", &run.display().to_string()]);
     assert!(full.status.success());
-    assert!(stdout(&full).contains("event log"));
+    assert!(stdout(&full).contains("summary"));
+    assert!(stdout(&full).contains("verdicts"));
     assert!(stdout(&full).contains("trace"));
 
-    // Without events.jsonl the report still renders manifest + trace
-    // and names the missing artifact instead of failing.
-    std::fs::remove_file(run.join("events.jsonl")).unwrap();
+    // Without manifest.json the report still renders the trace and
+    // names the missing artifact instead of failing.
+    std::fs::remove_file(run.join("manifest.json")).unwrap();
     let partial = craft(&["report", &run.display().to_string()]);
     assert!(partial.status.success(), "partial run dir must still report");
     let text = stdout(&partial);
-    assert!(text.contains("summary"), "manifest summary missing:\n{text}");
+    assert!(text.contains("verdicts"), "trace verdicts missing:\n{text}");
     assert!(text.contains("absent from run directory"), "absence note missing:\n{text}");
-    assert!(text.contains("events.jsonl"), "missing artifact not named:\n{text}");
+    assert!(text.contains("manifest.json"), "missing artifact not named:\n{text}");
 
     // Without trace.jsonl the live stream is folded in its place.
     std::fs::remove_file(run.join("trace.jsonl")).unwrap();
@@ -117,6 +120,64 @@ fn report_degrades_gracefully_on_partial_run_dirs() {
     std::fs::create_dir_all(&empty).unwrap();
     let nothing = craft(&["report", &empty.display().to_string()]);
     assert_eq!(nothing.status.code(), Some(1));
+
+    // A file is not a run directory: usage error naming the form.
+    let file = craft(&["report", &run.join("live.jsonl").display().to_string()]);
+    assert_eq!(file.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&file.stderr).contains("<run-dir>"));
+}
+
+#[test]
+fn report_verdicts_match_an_injected_fault_drill() {
+    let root = scratch("cli-fault-drill");
+    let run = root.join("run");
+    let out = craft(&[
+        "analyze",
+        "vecops",
+        "s",
+        "--threads=1",
+        &format!("--trace={}", run.display()),
+        &format!("--registry={}", root.join("registry").display()),
+        // vecops.s evaluates only the module and then the union, so
+        // both faults land on the module test: attempt 0 panics, its
+        // first retry times out, and the second retry passes.
+        "--inject-panic=0",
+        "--inject-timeout=1",
+    ]);
+    assert!(out.status.success(), "analyze failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        stdout(&out).contains("1 timeouts, 1 crashes, 2 retries, 0 quarantined"),
+        "analyze summary:\n{}",
+        stdout(&out)
+    );
+
+    let report = craft(&["report", &run.display().to_string()]);
+    assert!(report.status.success());
+    let text = stdout(&report);
+    let row = |name: &str| {
+        text.lines()
+            .find_map(|l| l.trim().strip_prefix(name).map(|n| n.trim().to_string()))
+            .unwrap_or_else(|| panic!("no `{name}` row in report:\n{text}"))
+    };
+    assert_eq!(row("crashed"), "1");
+    assert_eq!(row("timeout"), "1");
+    assert!(text.contains("retries: 2 "), "retry count missing:\n{text}");
+}
+
+#[test]
+fn unread_flags_are_usage_errors() {
+    for (args, named) in [
+        (&["analyze", "vecops", "s", "--events=x"][..], "--events"),
+        (&["analyze", "vecops", "s", "--backend=fast"][..], "--backend"),
+        (&["analyze", "vecops", "s", "--lattice", "s,b"][..], "--lattice"),
+        (&["report", "--bogus"][..], "--bogus"),
+    ] {
+        let out = craft(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(named), "{args:?}: stderr does not name {named}:\n{err}");
+        assert!(out.stdout.is_empty(), "{args:?} did work before refusing:\n{}", stdout(&out));
+    }
 }
 
 #[test]

@@ -11,8 +11,8 @@
 //!
 //! Every job gets its own run directory `<data>/jobs/<id>/` holding the
 //! same artifact set `craft analyze --trace=DIR` writes (`job.json` +
-//! `status.json` on top of `live.jsonl` / `events.jsonl` /
-//! `trace.jsonl` / `manifest.json`), so the whole `craft report` /
+//! `status.json` on top of `live.jsonl` / `trace.jsonl` /
+//! `decisions.jsonl` / `manifest.json`), so the whole `craft report` /
 //! `watch` / `compare` toolchain works on daemon runs unchanged.
 //! Completed jobs are recorded in the daemon's registry and compared
 //! against the previous run of the same benchmark (compare-on-
@@ -23,7 +23,6 @@
 use crate::cache::SharedEvalCache;
 use crate::obs::{DaemonLog, Level, LogRecord, LOG_FILE};
 use mixedprec::{AnalysisSystem, EvalMiddleware, JobSpec};
-use mpsearch::events::EventLog;
 use mpsearch::{SearchHooks, SearchReport, WorkerPool};
 use mptrace::compare::{compare, CompareOptions};
 use mptrace::registry::{self, Registry, RunManifest, RunSummary};
@@ -651,7 +650,6 @@ impl JobManager {
         }
         opts.search.threads = opts.search.threads.clamp(1, self.pool.workers());
         let threads = opts.search.threads;
-        let bench_label = format!("{}.{}", spec.bench, spec.class);
 
         let mut sys = AnalysisSystem::with_options(workload, opts);
         let tracer = Tracer::new();
@@ -667,16 +665,8 @@ impl JobManager {
         let live_path = dir.join("live.jsonl").display().to_string();
         let stream = StreamSink::to_file(&live_path, &tracer, StreamOptions::default())
             .map_err(|e| format!("cannot stream to {live_path}: {e}"))?;
-        let events_path = dir.join("events.jsonl").display().to_string();
-        let events = EventLog::to_file(&events_path)
-            .map_err(|e| format!("cannot create event log {events_path}: {e}"))?;
-        let hooks = SearchHooks {
-            bench: bench_label,
-            events: Some(&events),
-            stream: Some(&stream),
-            pool: Some(&self.pool),
-            ..Default::default()
-        };
+        let hooks =
+            SearchHooks { stream: Some(&stream), pool: Some(&self.pool), ..Default::default() };
 
         if spec.inject_runner_panic {
             panic!("injected runner panic (crashed-job isolation drill)");

@@ -168,7 +168,7 @@ fn daemon_run_matches_in_process_and_second_job_hits_shared_cache() {
     // The run directory is a full craft-compatible artifact set.
     let dir = d.mgr.job_dir(&id);
     for f in
-        ["job.json", "status.json", "live.jsonl", "events.jsonl", "trace.jsonl", "manifest.json"]
+        ["job.json", "status.json", "live.jsonl", "decisions.jsonl", "trace.jsonl", "manifest.json"]
     {
         assert!(dir.join(f).is_file(), "missing {f} in {}", dir.display());
     }

@@ -17,7 +17,9 @@
 //! * a deterministic [`FaultPlan`] can inject worker panics, fuel
 //!   starvation, trap storms, NaN poisoning, and simulated timeouts at
 //!   chosen evaluation indices, so the policy itself is testable;
-//! * every transition is mirrored to an optional [`EventLog`].
+//! * every verdict, retry and cache hit is counted on an optional
+//!   [`Tracer`] (`exec.verdict.*`, `exec.retries`, `exec.cache_hits`),
+//!   and every attempt gets a span and an `exec.attempt_wall_us` sample.
 //!
 //! Timeout semantics: the substrate guarantees termination (every run is
 //! fuel-bounded), so wall-clock limits are classified *post-run* rather
@@ -28,7 +30,6 @@
 //! [`ExecPolicy::retry_timeouts`] is set.
 
 use crate::evaluator::{Evaluator, RunControl};
-use crate::events::{Event, EventLog};
 use mpconfig::{Config, StructureTree};
 use mptrace::Tracer;
 use std::collections::HashSet;
@@ -63,7 +64,8 @@ pub enum Verdict {
 }
 
 impl Verdict {
-    /// Stable wire name (used in the JSONL event log).
+    /// Stable wire name (used in the `exec.verdict.*` tracer counters
+    /// and in `decisions.jsonl`).
     pub fn as_str(self) -> &'static str {
         match self {
             Verdict::Pass => "pass",
@@ -89,7 +91,8 @@ impl Verdict {
         })
     }
 
-    /// Every verdict, in wire order (used by schema round-trip tests).
+    /// Every verdict, in wire order (the order `craft report` lists
+    /// verdict counts in).
     pub const ALL: [Verdict; 5] =
         [Verdict::Pass, Verdict::Fail, Verdict::Timeout, Verdict::Crashed, Verdict::Quarantined];
 }
@@ -184,13 +187,12 @@ pub struct ExecCounters {
 }
 
 /// The fault-tolerant evaluation executor: wraps an [`Evaluator`] with
-/// policy enforcement, fault injection, and event emission.
+/// policy enforcement, fault injection, and tracer counters.
 pub struct Executor<'a> {
     eval: &'a dyn Evaluator,
     tree: &'a StructureTree,
     policy: ExecPolicy,
     faults: FaultPlan,
-    events: Option<&'a EventLog>,
     tracer: Option<&'a Tracer>,
     next_idx: AtomicU64,
     attempts: AtomicUsize,
@@ -202,21 +204,19 @@ pub struct Executor<'a> {
 }
 
 impl<'a> Executor<'a> {
-    /// Build an executor over `eval` with the given policy, fault plan,
-    /// and optional event sink.
+    /// Build an executor over `eval` with the given policy and fault
+    /// plan.
     pub fn new(
         eval: &'a dyn Evaluator,
         tree: &'a StructureTree,
         policy: ExecPolicy,
         faults: FaultPlan,
-        events: Option<&'a EventLog>,
     ) -> Self {
         Executor {
             eval,
             tree,
             policy,
             faults,
-            events,
             tracer: None,
             next_idx: AtomicU64::new(0),
             attempts: AtomicUsize::new(0),
@@ -246,17 +246,8 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn emit(&self, ev: Event) {
-        if let Some(log) = self.events {
-            log.emit(ev);
-        }
-    }
-
     /// Evaluate `cfg` under the policy and return its verdict.
-    ///
-    /// `label` is a human-readable tag for the configuration (its
-    /// structural node), used only for events.
-    pub fn run(&self, cfg: &Config, label: &str) -> Verdict {
+    pub fn run(&self, cfg: &Config) -> Verdict {
         // Keyed by the format-aware replacement map, so the same insn set
         // at different lattice levels is quarantined independently.
         let key: Vec<u64> = if self.policy.quarantine_after > 0 {
@@ -266,7 +257,6 @@ impl<'a> Executor<'a> {
         };
         if self.policy.quarantine_after > 0 && relock(&self.quarantine).contains(&key) {
             self.quarantined.fetch_add(1, Ordering::Relaxed);
-            self.emit(Event::Quarantined { label: label.to_string(), wedged: 0 });
             if let Some(t) = self.tracer {
                 t.incr("exec.verdict.quarantined", 1);
             }
@@ -274,13 +264,11 @@ impl<'a> Executor<'a> {
         }
 
         let _item_span = self.tracer.map(|t| t.span("eval"));
-        let insns = key.len();
         let mut wedged = 0usize;
         let mut last = Verdict::Crashed;
         for attempt in 0..=self.policy.max_retries {
             let idx = self.next_idx.fetch_add(1, Ordering::Relaxed);
             self.attempts.fetch_add(1, Ordering::Relaxed);
-            self.emit(Event::EvalStarted { idx, label: label.to_string(), insns });
             let _attempt_span =
                 self.tracer.map(|t| t.span(if attempt == 0 { "attempt" } else { "retry-attempt" }));
 
@@ -299,8 +287,8 @@ impl<'a> Executor<'a> {
             }));
             let wall = t0.elapsed();
 
-            let (verdict, steps, cache_hit, injected) = match outcome {
-                Err(_) => (Verdict::Crashed, 0, false, true),
+            let (verdict, cache_hit, injected) = match outcome {
+                Err(_) => (Verdict::Crashed, false, true),
                 Ok(out) => {
                     let fuel_out = out.trap == Some("fuel-exhausted");
                     let over_wall = self.policy.wall_limit.is_some_and(|lim| wall > lim);
@@ -320,18 +308,9 @@ impl<'a> Executor<'a> {
                     let injected = fires(&self.faults.trap_storm_at)
                         || fires(&self.faults.timeout_at)
                         || injected_starve;
-                    (v, out.steps, out.cache_hit, injected)
+                    (v, out.cache_hit, injected)
                 }
             };
-            self.emit(Event::EvalFinished {
-                idx,
-                label: label.to_string(),
-                attempt,
-                verdict,
-                steps,
-                wall_us: wall.as_micros() as u64,
-                cache_hit,
-            });
             if let Some(t) = self.tracer {
                 t.incr(&format!("exec.verdict.{}", verdict.as_str()), 1);
                 t.observe("exec.attempt_wall_us", wall.as_micros() as u64);
@@ -363,11 +342,6 @@ impl<'a> Executor<'a> {
                     t.incr("exec.retries", 1);
                 }
                 let backoff = self.policy.backoff.saturating_mul(attempt as u32 + 1);
-                self.emit(Event::Retry {
-                    idx,
-                    attempt: attempt + 1,
-                    backoff_us: backoff.as_micros() as u64,
-                });
                 if !backoff.is_zero() {
                     std::thread::sleep(backoff);
                 }
@@ -377,7 +351,6 @@ impl<'a> Executor<'a> {
         if self.policy.quarantine_after > 0 && wedged >= self.policy.quarantine_after {
             relock(&self.quarantine).insert(key);
             self.quarantined.fetch_add(1, Ordering::Relaxed);
-            self.emit(Event::Quarantined { label: label.to_string(), wedged });
             if let Some(t) = self.tracer {
                 t.incr("exec.verdict.quarantined", 1);
             }

@@ -21,7 +21,7 @@
 //! Evaluations run through the fault-tolerant [`executor`]: per-run
 //! fuel/wall-clock limits, panic isolation, bounded retry with backoff,
 //! and quarantine of repeatedly wedged configurations, with every
-//! transition optionally mirrored to a JSONL [`events`] log and
+//! verdict counted on the optional [`mptrace::Tracer`] and
 //! deterministic fault injection via [`FaultPlan`] for testing the
 //! policy itself.
 
@@ -29,7 +29,6 @@
 
 pub mod decisions;
 pub mod evaluator;
-pub mod events;
 pub mod executor;
 pub mod pool;
 pub mod report;
@@ -37,7 +36,6 @@ pub mod search;
 
 pub use decisions::{DecisionEvent, DecisionRecord};
 pub use evaluator::{CachedEvaluator, EvalOutcome, EvalStats, Evaluator, RunControl, VmEvaluator};
-pub use events::{Event, EventLog, Record};
 pub use executor::{ExecCounters, ExecPolicy, Executor, FaultPlan, Verdict};
 pub use pool::{PoolScope, WorkerPool};
 pub use report::{PassingUnit, SearchReport};

@@ -2,7 +2,6 @@
 
 use crate::decisions::{DecisionEvent, DecisionRecord};
 use crate::evaluator::{CachedEvaluator, Evaluator};
-use crate::events::{Event, EventLog};
 use crate::executor::{ExecPolicy, Executor, FaultPlan, Verdict};
 use crate::pool::WorkerPool;
 use crate::report::{PassingUnit, SearchReport};
@@ -136,16 +135,13 @@ impl Default for SearchOptions {
 }
 
 /// Side-channel hooks for [`search_observed`]: deterministic fault
-/// injection, a structured event sink, and an optional shadow-value
-/// oracle. [`search`] uses the inert defaults.
+/// injection, telemetry (tracer and live stream), an optional
+/// shadow-value oracle and a shared worker pool. [`search`] uses the
+/// inert defaults.
 #[derive(Default)]
 pub struct SearchHooks<'a> {
-    /// Label stamped on the `search_started` event.
-    pub bench: String,
     /// Deterministic fault plan applied by the executor.
     pub faults: FaultPlan,
-    /// JSONL event sink; `None` disables event emission.
-    pub events: Option<&'a EventLog>,
     /// Shadow-value oracle for prioritization and pruning; `None`
     /// leaves the search exactly as without the subsystem.
     pub shadow: Option<ShadowOracle<'a>>,
@@ -256,7 +252,6 @@ struct Ctx<'a> {
     /// the tree's disassembly. Empty unless the lattice has reduced
     /// levels and a shadow oracle (the range source) is attached.
     classes: HashMap<u32, OpClass>,
-    events: Option<&'a EventLog>,
     shadow: Option<ShadowOracle<'a>>,
     tracer: Option<&'a Tracer>,
     stream: Option<&'a StreamSink>,
@@ -334,14 +329,6 @@ impl Ctx<'_> {
         let priority = self.priority_of(&item.insns);
         let seq = s.next_seq;
         s.next_seq += 1;
-        if let Some(log) = self.events {
-            log.emit(Event::ConfigEnqueued {
-                label: self.label_of(&item),
-                insns: item.insns.len(),
-                priority,
-                depth: s.queue.len() + 1,
-            });
-        }
         if let Some(t) = self.tracer {
             t.incr("search.enqueued", 1);
         }
@@ -503,8 +490,8 @@ pub fn search(
 
 /// [`search`], with observability and fault-injection hooks: evaluations
 /// run through the fault-tolerant [`Executor`] (they always do — plain
-/// [`search`] just uses inert hooks), structured events go to
-/// `hooks.events`, and `hooks.faults` deterministically injects failures
+/// [`search`] just uses inert hooks), spans and counters go to
+/// `hooks.tracer`, and `hooks.faults` deterministically injects failures
 /// for robustness testing.
 pub fn search_observed(
     tree: &StructureTree,
@@ -544,7 +531,6 @@ pub fn search_observed(
         opts,
         lattice,
         classes,
-        events: hooks.events,
         shadow: hooks.shadow,
         tracer: hooks.tracer,
         stream: hooks.stream,
@@ -559,21 +545,12 @@ pub fn search_observed(
         Some(c) => c,
         None => eval,
     };
-    let exec = Executor::new(eval, tree, opts.exec.clone(), hooks.faults.clone(), hooks.events)
+    let exec = Executor::new(eval, tree, opts.exec.clone(), hooks.faults.clone())
         .with_tracer(hooks.tracer);
 
     let candidates: Vec<InsnId> =
         tree.all_insns().into_iter().filter(|&i| base.effective(tree, i) != Flag::Ignore).collect();
 
-    if let Some(log) = hooks.events {
-        log.emit(Event::SearchStarted {
-            bench: hooks.bench.clone(),
-            candidates: candidates.len(),
-            threads: opts.threads.max(1),
-        });
-        log.emit(Event::PhaseStarted { phase: "bfs".into() });
-    }
-    let phase_start = Instant::now();
     let bfs_span = hooks.tracer.map(|t| t.span("phase:bfs"));
 
     let shared = Mutex::new(Shared {
@@ -631,12 +608,6 @@ pub fn search_observed(
                         }
                     }
                     s.in_flight += batch.len();
-                    if let Some(log) = ctx.events {
-                        log.emit(Event::QueueDepth {
-                            depth: s.queue.len(),
-                            in_flight: s.in_flight,
-                        });
-                    }
                     // Gauge sampled at the dequeue, so idle drains
                     // are visible, not just enqueue-time spikes.
                     if let Some(t) = ctx.tracer {
@@ -661,13 +632,6 @@ pub fn search_observed(
                 if let Some(threshold) = oracle.prune_threshold {
                     let err = oracle.profile.max_local_over(item.insns.iter().copied());
                     if err > threshold {
-                        if let Some(log) = ctx.events {
-                            log.emit(Event::ShadowPruned {
-                                label: ctx.label_of(&item),
-                                err,
-                                threshold,
-                            });
-                        }
                         if let Some(t) = ctx.tracer {
                             t.incr("search.shadow_pruned", 1);
                         }
@@ -722,7 +686,7 @@ pub fn search_observed(
             }
             let cfg = ctx.trial_config(&item.insns, item.level);
             let unit = ctx.label_of(&item);
-            let verdict = exec.run(&cfg, &unit);
+            let verdict = exec.run(&cfg);
             let pass = verdict == Verdict::Pass;
             let mut s = shared.lock().unwrap();
             s.tested += 1;
@@ -789,14 +753,6 @@ pub fn search_observed(
     let mut decisions = std::mem::take(&mut s.decisions);
     let s = s;
     drop(bfs_span);
-    if let Some(log) = hooks.events {
-        log.emit(Event::PhaseFinished {
-            phase: "bfs".into(),
-            wall_us: phase_start.elapsed().as_micros() as u64,
-        });
-        log.emit(Event::PhaseStarted { phase: "union".into() });
-    }
-    let phase_start = Instant::now();
     let union_span = hooks.tracer.map(|t| t.span("phase:union"));
     if let Some(sink) = ctx.stream {
         sink.force(&progress_of(&s, "union"));
@@ -806,15 +762,9 @@ pub fn search_observed(
     // passing unit (§2.2), each instruction at the narrowest format it
     // passed at, then test it once more.
     let (mut final_config, mut replaced) = ctx.union_config(&s.passing);
-    let mut final_pass = replaced.is_empty() || exec.run(&final_config, "union") == Verdict::Pass;
+    let mut final_pass = replaced.is_empty() || exec.run(&final_config) == Verdict::Pass;
     let mut tested_extra = 0usize;
     drop(union_span);
-    if let Some(log) = hooks.events {
-        log.emit(Event::PhaseFinished {
-            phase: "union".into(),
-            wall_us: phase_start.elapsed().as_micros() as u64,
-        });
-    }
 
     // Second phase (paper §3.1: "a second search phase may be useful, to
     // determine the largest subset of individually-passing instruction
@@ -824,18 +774,20 @@ pub fn search_observed(
     // retest, until the composition verifies or nothing remains.
     let mut passing_units: Vec<Item> = s.passing.clone();
     if opts.second_phase && !final_pass {
-        if let Some(log) = hooks.events {
-            log.emit(Event::PhaseStarted { phase: "second-phase".into() });
-        }
-        let phase_start = Instant::now();
         let second_span = hooks.tracer.map(|t| t.span("phase:second-phase"));
         if let Some(sink) = ctx.stream {
             sink.force(&progress_of(&s, "second-phase"));
         }
-        passing_units.sort_by_key(|it| match profile {
+        // Ties on the count break on the item's content, never on its
+        // position in `passing`: that is worker completion order, so a
+        // stable sort on the count alone dropped different units from
+        // run to run with more than one thread.
+        let weight = |it: &Item| match profile {
             Some(p) => p.total_of(it.insns.iter().copied()),
             None => it.insns.len() as u64,
-        });
+        };
+        passing_units
+            .sort_by(|a, b| (weight(a), &a.insns, a.level).cmp(&(weight(b), &b.insns, b.level)));
         while !final_pass && !passing_units.is_empty() {
             let dropped = passing_units.remove(0);
             for &i in &dropped.insns {
@@ -846,18 +798,11 @@ pub fn search_observed(
             }
             let (cfg, kept) = ctx.union_config(&passing_units);
             final_config = cfg;
-            final_pass =
-                kept.is_empty() || exec.run(&final_config, "second-phase") == Verdict::Pass;
+            final_pass = kept.is_empty() || exec.run(&final_config) == Verdict::Pass;
             tested_extra += 1;
         }
         replaced = passing_units.iter().flat_map(|it| it.insns.iter().copied()).collect();
         drop(second_span);
-        if let Some(log) = hooks.events {
-            log.emit(Event::PhaseFinished {
-                phase: "second-phase".into(),
-                wall_us: phase_start.elapsed().as_micros() as u64,
-            });
-        }
     }
 
     let static_pct = if candidates.is_empty() {
@@ -935,19 +880,6 @@ pub fn search_observed(
         guard_refused: s.guard_refused,
         decisions: decision_records,
     };
-    if let Some(log) = hooks.events {
-        log.emit(Event::SearchFinished {
-            tested: report.configs_tested,
-            passing: report.passing.len(),
-            timeouts: report.timeouts,
-            crashes: report.crashes,
-            retries: report.retries,
-            quarantined: report.quarantined,
-            cache_hits: report.cache_hits,
-            wall_us: report.elapsed.as_micros() as u64,
-        });
-        log.flush();
-    }
     // Close the root span before the final emission so the last delta
     // carries it — the streamed snapshot then matches the post-mortem one.
     drop(search_span);
@@ -1296,6 +1228,69 @@ mod tests {
         assert!(r2.configs_tested > r1.configs_tested);
     }
 
+    /// An evaluator whose units pass alone but conflict pairwise: a
+    /// config fails iff it replaces more than one of `conflict`. Trials
+    /// that start earlier in instruction order run longer, so with
+    /// several workers the units finish in roughly reverse order.
+    struct ConflictEval {
+        tree: StructureTreeBox,
+        conflict: Vec<InsnId>,
+    }
+
+    impl Evaluator for ConflictEval {
+        fn evaluate(&self, cfg: &Config) -> bool {
+            let ids = self.tree.tree.all_insns();
+            let first = ids.iter().position(|&i| cfg.effective(&self.tree.tree, i) == Flag::Single);
+            if let Some(k) = first {
+                std::thread::sleep(std::time::Duration::from_micros(300 * (ids.len() - k) as u64));
+            }
+            let hits = self
+                .conflict
+                .iter()
+                .filter(|&&i| cfg.effective(&self.tree.tree, i) == Flag::Single)
+                .count();
+            hits <= 1
+        }
+    }
+
+    #[test]
+    fn second_phase_drops_tied_units_in_content_order() {
+        // Four passing functions of equal weight whose union fails: the
+        // second phase must drop the same three whatever order the
+        // workers finished them in.
+        let tb = make_prog(4, 2);
+        let ids = tb.tree.all_insns();
+        let conflict: Vec<InsnId> = ids.iter().step_by(2).copied().collect();
+        let run = |threads: usize| {
+            let eval = ConflictEval { tree: make_prog(4, 2), conflict: conflict.clone() };
+            let opts = SearchOptions {
+                threads,
+                prioritize: false,
+                second_phase: true,
+                ..Default::default()
+            };
+            let r = search(&tb.tree, &Config::new(), None, &eval, &opts);
+            let dropped: Vec<(u32, String)> = r
+                .decisions
+                .iter()
+                .flat_map(|rec| {
+                    rec.events.iter().filter_map(move |e| match e {
+                        DecisionEvent::Dropped { unit } => Some((rec.insn, unit.clone())),
+                        _ => None,
+                    })
+                })
+                .collect();
+            (r.final_config, r.configs_tested, dropped)
+        };
+        let want = run(1);
+        assert_eq!(want.2.len(), 6, "three two-insn units dropped: {:?}", want.2);
+        for threads in [1, 4] {
+            for _ in 0..20 {
+                assert_eq!(run(threads), want, "threads={threads}");
+            }
+        }
+    }
+
     #[test]
     fn streamed_search_emits_consistent_live_log() {
         use mptrace::stream::{LiveLog, StreamSink};
@@ -1304,12 +1299,8 @@ mod tests {
         let eval = SetEval { tree: make_prog(3, 8), sensitive, calls: AtomicUsize::new(0) };
         let tracer = Tracer::new();
         let sink = StreamSink::in_memory(&tracer);
-        let hooks = SearchHooks {
-            bench: "unit".into(),
-            tracer: Some(&tracer),
-            stream: Some(&sink),
-            ..Default::default()
-        };
+        let hooks =
+            SearchHooks { tracer: Some(&tracer), stream: Some(&sink), ..Default::default() };
         let report = search_observed(
             &tb.tree,
             &Config::new(),

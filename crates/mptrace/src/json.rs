@@ -1,12 +1,11 @@
 //! A minimal, dependency-free JSON parser (objects, arrays, strings,
 //! numbers, booleans, null).
 //!
-//! Promoted from `mpsearch::events` so the event log, the shadow
-//! sensitivity profile, the trace snapshot, and the `BENCH_*.json`
-//! readers all share one implementation (`mpsearch::events::json`
-//! re-exports this module for backwards compatibility). It also carries
-//! the shared string-escaping helper [`esc`] used by every hand-rolled
-//! JSONL writer in the workspace.
+//! The shadow sensitivity profile, the trace snapshot, the decision
+//! records, the daemon's records and the `BENCH_*.json` readers all
+//! share this one implementation. It also carries the shared
+//! string-escaping helper [`esc`] used by every hand-rolled JSONL writer
+//! in the workspace.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -245,7 +244,7 @@ impl P<'_> {
 ///
 /// A run killed mid-write (crash, OOM, SIGKILL) leaves its last JSONL
 /// record half-flushed. Every reader of crash-adjacent artifacts
-/// (`events.jsonl`, `trace.jsonl`, `live.jsonl`, shadow profiles) wants
+/// (`trace.jsonl`, `live.jsonl`, `decisions.jsonl`, shadow profiles) wants
 /// the same policy: keep the valid prefix, drop the torn tail, and say
 /// so. Returns the parsed lines plus an optional warning describing the
 /// dropped line. A malformed line *before* the final one is still a hard

@@ -1,17 +1,17 @@
-//! Executor robustness and event-schema tests: round-trip serialization
-//! of every event variant, and end-to-end searches under deterministic
+//! Executor robustness tests: end-to-end searches under deterministic
 //! fault injection — transient faults must be absorbed (same final
 //! configuration as the fault-free run), persistent faults must
-//! quarantine, and the event log must reflect both.
+//! quarantine, and the tracer's `exec.verdict.*` and `exec.retries`
+//! counters must tell the same story as the [`SearchReport`].
 
 use fpvm::isa::{FpAluOp, InstKind, Prec, Terminator, Xmm, RM};
 use fpvm::{InsnId, Program};
 use mpconfig::{Config, Flag, StructureTree};
-use mpsearch::events::{Event, EventLog, Record};
 use mpsearch::{
     search, search_observed, Evaluator, ExecPolicy, FaultPlan, SearchHooks, SearchOptions,
-    SearchReport, Verdict,
+    SearchReport,
 };
+use mptrace::Tracer;
 use std::time::Duration;
 
 /// Owns a program alongside the structure tree borrowed from it.
@@ -78,96 +78,14 @@ fn replaced(report: &SearchReport, tree: &StructureTree) -> Vec<u32> {
     v
 }
 
-#[test]
-fn event_log_survives_a_poisoned_lock() {
-    use std::io::Write;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::{Arc, Mutex};
-
-    // A sink that panics on its first write. The panic unwinds out of
-    // `emit` while the log's writer mutex is held, poisoning it — the
-    // same shape as an evaluator panicking under `catch_unwind` mid-run.
-    struct PoisonOnce {
-        armed: bool,
-        buf: Arc<Mutex<Vec<u8>>>,
-    }
-    impl Write for PoisonOnce {
-        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-            if self.armed {
-                self.armed = false;
-                panic!("injected sink panic");
-            }
-            self.buf.lock().unwrap_or_else(|e| e.into_inner()).extend_from_slice(b);
-            Ok(b.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    let buf = Arc::new(Mutex::new(Vec::new()));
-    let log = EventLog::to_writer(Box::new(PoisonOnce { armed: true, buf: buf.clone() }));
-    let poisoned = catch_unwind(AssertUnwindSafe(|| {
-        log.emit(Event::PhaseStarted { phase: "poisoned".into() });
-    }));
-    assert!(poisoned.is_err(), "first emit must panic through the sink");
-
-    // Regression: this second emit used to panic on the PoisonError and
-    // take the whole search down with it.
-    log.emit(Event::PhaseFinished { phase: "recovered".into(), wall_us: 1 });
-    log.flush();
-    let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-    let rec = Record::parse(text.lines().next().expect("an event after the panic")).unwrap();
-    assert!(
-        matches!(rec.event, Event::PhaseFinished { ref phase, .. } if phase == "recovered"),
-        "unexpected event: {rec:?}"
-    );
-}
-
-#[test]
-fn event_schema_round_trips_every_variant() {
-    let label = "m.f0 [2 children] \"quoted\"\nline".to_string();
-    let all = vec![
-        Event::SearchStarted { bench: "ep.W".into(), candidates: 42, threads: 8 },
-        Event::ConfigEnqueued { label: label.clone(), insns: 7, priority: 12345, depth: 3 },
-        Event::EvalStarted { idx: 9, label: label.clone(), insns: 7 },
-        Event::EvalFinished {
-            idx: 9,
-            label,
-            attempt: 1,
-            verdict: Verdict::Timeout,
-            steps: 123456789,
-            wall_us: 4242,
-            cache_hit: true,
-        },
-        Event::Retry { idx: 9, attempt: 2, backoff_us: 2000 },
-        Event::Quarantined { label: "m.f1".into(), wedged: 3 },
-        Event::QueueDepth { depth: 11, in_flight: 4 },
-        Event::PhaseStarted { phase: "bfs".into() },
-        Event::PhaseFinished { phase: "bfs".into(), wall_us: 987654321 },
-        Event::SearchFinished {
-            tested: 100,
-            passing: 12,
-            timeouts: 1,
-            crashes: 2,
-            retries: 3,
-            quarantined: 1,
-            cache_hits: 17,
-            wall_us: 5_000_000,
-        },
-    ];
-    for (i, event) in all.into_iter().enumerate() {
-        let rec = Record { t_us: i as u64 * 1000, event };
-        let line = rec.to_json();
-        assert!(!line.contains('\n'), "JSONL record must be one line: {line:?}");
-        let back = Record::parse(&line)
-            .unwrap_or_else(|e| panic!("round-trip parse failed for {line:?}: {e}"));
-        assert_eq!(back, rec, "round-trip mismatch for {line:?}");
-    }
-    // every verdict survives the wire
-    for v in Verdict::ALL {
-        assert_eq!(Verdict::from_str(v.as_str()), Some(v));
-    }
+/// Assert that the tracer's executor counters equal the report's.
+fn assert_counters_match(tracer: &Tracer, report: &SearchReport) {
+    let snap = tracer.snapshot();
+    let counter = |k: &str| snap.counters.get(k).copied().unwrap_or(0) as usize;
+    assert_eq!(counter("exec.verdict.crashed"), report.crashes);
+    assert_eq!(counter("exec.verdict.timeout"), report.timeouts);
+    assert_eq!(counter("exec.verdict.quarantined"), report.quarantined);
+    assert_eq!(counter("exec.retries"), report.retries);
 }
 
 #[test]
@@ -183,11 +101,10 @@ fn transient_injected_faults_do_not_change_the_outcome() {
     // One forced panic and one simulated timeout, at fixed evaluation
     // indices. Both are transient (the fault fires once per index), so
     // the retry absorbs them.
-    let (log, buf) = EventLog::in_memory();
+    let tracer = Tracer::new();
     let hooks = SearchHooks {
-        bench: "synthetic".into(),
         faults: FaultPlan { panic_at: vec![1], timeout_at: vec![3], ..Default::default() },
-        events: Some(&log),
+        tracer: Some(&tracer),
         ..Default::default()
     };
     let faulted = search_observed(&tb.tree, &Config::new(), None, &mk(), &serial_opts(), &hooks);
@@ -201,36 +118,8 @@ fn transient_injected_faults_do_not_change_the_outcome() {
     assert_eq!(faulted.failed_insns, clean.failed_insns);
     assert_eq!(faulted.static_pct, clean.static_pct);
 
-    // The event log tells the same story.
-    drop(log);
-    let bytes = buf.lock().unwrap().clone();
-    let text = String::from_utf8(bytes).unwrap();
-    let records: Vec<Record> =
-        text.lines().map(|l| Record::parse(l).expect("malformed event line")).collect();
-    assert!(matches!(records.first().map(|r| &r.event), Some(Event::SearchStarted { .. })));
-    let mut crashed = 0;
-    let mut timed_out = 0;
-    for r in &records {
-        if let Event::EvalFinished { verdict, .. } = r.event {
-            match verdict {
-                Verdict::Crashed => crashed += 1,
-                Verdict::Timeout => timed_out += 1,
-                _ => {}
-            }
-        }
-    }
-    assert_eq!(crashed, 1);
-    assert_eq!(timed_out, 1);
-    let last = records.last().expect("log must not be empty");
-    match &last.event {
-        Event::SearchFinished { crashes, timeouts, retries, tested, .. } => {
-            assert_eq!(*crashes, faulted.crashes);
-            assert_eq!(*timeouts, faulted.timeouts);
-            assert_eq!(*retries, faulted.retries);
-            assert_eq!(*tested, faulted.configs_tested);
-        }
-        other => panic!("final event must be search_finished, got {other:?}"),
-    }
+    // The telemetry tells the same story.
+    assert_counters_match(&tracer, &faulted);
 }
 
 #[test]
@@ -242,10 +131,10 @@ fn repeatedly_wedging_config_is_quarantined() {
     // Serial order: idx 0 tests the module (fails: contains the
     // sensitive insn), then idx 1..=3 are the three attempts of the
     // first function — all forced to panic, exhausting the retries.
-    let (log, buf) = EventLog::in_memory();
+    let tracer = Tracer::new();
     let hooks = SearchHooks {
         faults: FaultPlan { panic_at: vec![1, 2, 3], ..Default::default() },
-        events: Some(&log),
+        tracer: Some(&tracer),
         ..Default::default()
     };
     let report = search_observed(&tb.tree, &Config::new(), None, &eval, &serial_opts(), &hooks);
@@ -260,15 +149,7 @@ fn repeatedly_wedging_config_is_quarantined() {
     assert!(report.final_pass);
     assert_eq!(report.failed_insns, 1);
 
-    drop(log);
-    let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-    assert!(
-        text.lines().any(|l| matches!(
-            Record::parse(l).map(|r| r.event),
-            Ok(Event::Quarantined { wedged: 3, .. })
-        )),
-        "expected a quarantined event with wedged=3"
-    );
+    assert_counters_match(&tracer, &report);
 }
 
 #[test]
